@@ -2,7 +2,7 @@
 //
 // Every binary prints the same rows/series its paper counterpart reports,
 // at a machine-appropriate scale. Scale knobs:
-//   GSTORE_BENCH_SCALE  — log2 vertex count for comparative runs (default 17)
+//   GSTORE_BENCH_SCALE  — log2 vertex count for comparative runs (default 18)
 //   GSTORE_BENCH_EF     — edge factor (default 16)
 //   GSTORE_BENCH_BIG_SCALE — scale for the Table III large-graph run (default 20)
 // Absolute seconds differ from the paper's 56-thread/8-SSD testbed; the

@@ -78,6 +78,8 @@ class Device {
   // Waits out every in-flight request without throwing (unwind-path
   // barrier); returns the number of failed completions discarded.
   std::size_t quiesce() noexcept;
+  // Submitted requests whose completions have not been reaped yet.
+  std::size_t in_flight() const { return engine_.in_flight(); }
 
   const Source& file() const noexcept { return *source_; }
   std::uint64_t size() const { return source_->size(); }

@@ -14,6 +14,14 @@
 // process_tile() may be called concurrently for different tiles; metadata
 // updates must be thread-safe.
 //
+// Oracle stability: the engine plans a whole iteration or round right after
+// begin_iteration()/begin_round() — which tiles it takes from the cache
+// pool, fetches, or splices from the overlay — and has reads in flight
+// before its first process_tile() call. So tile_needed() and tile_priority()
+// must not change between that begin hook and the end of the round's scan:
+// they may read only "current" state that process_tile() never writes.
+// Debug builds check tile_needed() by planning again after the scan.
+//
 // Two compute paths exist (docs/HOTPATH.md):
 //   * per-edge   — process_tile() iterates with tile::visit_edges. Simple,
 //                  and the correctness oracle for the block path.

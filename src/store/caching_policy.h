@@ -5,6 +5,9 @@
 // the oracle has since ruled out. kLru is the FlashGraph-style baseline the
 // paper argues against; kNone is pure streaming (X-Stream-style, and the
 // "base policy" of Fig 13 when combined with rewind=off).
+//
+// Policies keep no state between calls: everything they decide is a
+// function of the pool, the segment and the algorithm's oracle.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 
 #include "store/algorithm.h"
 #include "store/cache_pool.h"
+#include "store/segment.h"
 #include "tile/grid.h"
 
 namespace gstore::store {
@@ -22,15 +26,12 @@ class CachingPolicy {
  public:
   virtual ~CachingPolicy() = default;
 
-  // Whether a just-processed tile should be copied into the pool.
-  virtual bool should_cache(std::uint64_t layout_idx,
-                            const tile::TileCoord& coord,
-                            const TileAlgorithm& algo) const = 0;
-
-  // Makes room for `bytes` (called when an insert would not fit). Returns
-  // true if the tile should still be inserted after eviction.
-  virtual bool make_room(CachePool& pool, std::uint64_t bytes,
-                         const tile::Grid& grid, const TileAlgorithm& algo) = 0;
+  // CACHE step: offers every tile of one just-processed segment to the pool,
+  // in slot order, pinning the admitted ones (zero-copy) and evicting as the
+  // policy allows. Runs after the segment's scan has joined, so the
+  // algorithm's oracle is frozen for the whole call.
+  virtual void admit(CachePool& pool, const Segment& seg,
+                     const tile::Grid& grid, const TileAlgorithm& algo) = 0;
 
   // Iteration-boundary analysis: drop entries the oracle now rules out
   // (proactive) or do nothing (LRU/None).

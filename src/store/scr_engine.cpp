@@ -50,9 +50,8 @@ struct ScrEngine::Runner {
         std::max<std::uint64_t>(budget.segment_bytes, store.max_tile_bytes());
     segments[0] = Segment(cap);
     segments[1] = Segment(cap);
-    // The overlay is frozen for the duration of a run (reader/writer
-    // contract in tile/overlay.h), so its tile list can be taken once.
-    if (overlay != nullptr) overlay_tiles = overlay->nonempty_tiles();
+    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx)
+      if (store.tile_bytes(idx) != 0) ++nonempty_tiles;
   }
 
   // ---- helpers -----------------------------------------------------------
@@ -89,9 +88,9 @@ struct ScrEngine::Runner {
   // terminate the process), and since v3 the decode inside process_one can
   // throw FormatError on a corrupt payload — as can the algorithm itself.
   // Workers capture the first exception here; the orchestrating thread
-  // rethrows after the region joins (REWIND and the delta pass have no I/O
-  // in flight, and the SLIDE call sits inside the quiesce-before-throw
-  // frame in run_iteration).
+  // rethrows after the region joins (the delta pass has no I/O in flight;
+  // REWIND and SLIDE sit inside the quiesce-before-throw frame in
+  // run_pass).
   std::exception_ptr scan_error;
 
   void process_one_captured(std::uint64_t layout_idx,
@@ -255,17 +254,18 @@ struct ScrEngine::Runner {
     inflight.clear();
   }
 
-  // Processes every tile resident in segment s (in parallel), then offers
-  // the tiles to the cache pool under the policy.
-  void process_segment(int s) {
-    Segment& seg = segments[s];
-    const auto& slots = seg.slots();
+  // Processes n tiles in parallel over cost-balanced chunks: tile k is
+  // layout index idx(k) with base bytes data(k) (nullptr for overlay-only
+  // tiles). Rethrows the first worker exception once the region has joined.
+  template <typename IdxFn, typename DataFn>
+  void scan(std::size_t n, IdxFn idx, DataFn data) {
+    if (n == 0) return;
     Timer t;
     slot_costs.clear();
-    slot_costs.reserve(slots.size());
-    for (const auto& slot : slots)
-      slot_costs.push_back(store.tile_edge_count(slot.layout_idx) +
-                           overlay_count(slot.layout_idx));
+    slot_costs.reserve(n);
+    for (std::size_t k = 0; k < n; ++k)
+      slot_costs.push_back(store.tile_edge_count(idx(k)) +
+                           overlay_count(idx(k)));
     cost_chunks(slot_costs, chunks);
     std::uint64_t edges = 0;
     std::uint64_t oedges = 0;
@@ -274,124 +274,102 @@ struct ScrEngine::Runner {
 #endif
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-        process_one_captured(slots[k].layout_idx, seg.slot_data(slots[k]));
+        process_one_captured(idx(k), data(k));
         edges += slot_costs[k];
-        oedges += overlay_count(slots[k].layout_idx);
+        oedges += overlay_count(idx(k));
       }
     }
-    rethrow_scan_error();  // before pinning possibly-corrupt tiles below
+    rethrow_scan_error();
     stats.edges_processed += edges;
     stats.overlay_edges += oedges;
     stats.compute_seconds += t.seconds();
-
-    // CACHE step of slide-cache-rewind: pin refcounted slices of the segment
-    // buffer instead of copying tile bytes into the pool.
-    if (pool.budget() == 0) return;
-    for (const auto& slot : slots) {
-      const tile::TileCoord c = grid.coord_at(slot.layout_idx);
-      if (!policy->should_cache(slot.layout_idx, c, algo)) continue;
-      if (slot.bytes > pool.free_bytes() &&
-          !policy->make_room(pool, slot.bytes, grid, algo))
-        continue;
-      pool.insert_pinned(slot.layout_idx, seg.pin_slot(slot), slot.bytes);
-    }
   }
 
-  // ---- one iteration -----------------------------------------------------
+  // Processes every tile resident in segment s, then runs the CACHE step of
+  // slide-cache-rewind: the policy pins the tiles worth keeping into the
+  // pool (refcounted slices of the segment buffer, no copy). A scan error
+  // has been rethrown by then, so possibly-corrupt tiles are never pinned.
+  void process_segment(int s) {
+    const Segment& seg = segments[s];
+    const auto& slots = seg.slots();
+    scan(
+        slots.size(), [&](std::size_t k) { return slots[k].layout_idx; },
+        [&](std::size_t k) { return seg.slot_data(slots[k]); });
+    if (pool.budget() > 0) policy->admit(pool, seg, grid, algo);
+  }
 
-  // Returns true if the algorithm wants another iteration.
-  bool run_iteration(std::uint32_t iter) {
-    const Timer iter_timer;
-    const IterationStats before{stats.tiles_from_disk, stats.tiles_from_cache,
-                                stats.tiles_skipped, stats.edges_processed,
-                                bytes_fetched_total};
-    algo.begin_iteration(iter);
+  // ---- one round: REWIND, SLIDE + CACHE, delta pass ------------------------
 
-    // REWIND: consume the cache pool first, no I/O (paper §VI-D).
-    std::vector<std::uint64_t> cached_indices;
-    if (config.rewind && pool.tile_count() > 0) {
-      Timer t;
-      // Allocation-free snapshot into reused scratch. The fetch list must
-      // exclude *every* cached tile (needed or not), so indices are taken
-      // before filtering; needed_now consults algorithm metadata, so it runs
-      // outside the pool lock.
-      rewind_entries.clear();
-      pool.for_each_entry(
-          [&](const CachePool::Entry& e) { rewind_entries.push_back(e); });
-      cached_indices.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        cached_indices.push_back(e.layout_idx);
-      std::erase_if(rewind_entries, [&](const CachePool::Entry& e) {
-        return !needed_now(e.layout_idx);
-      });
-      slot_costs.clear();
-      slot_costs.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        slot_costs.push_back(store.tile_edge_count(e.layout_idx) +
-                             overlay_count(e.layout_idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t edges = 0;
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : edges, oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(rewind_entries[k].layout_idx,
-                               rewind_entries[k].data);
-          edges += slot_costs[k];
-          oedges += overlay_count(rewind_entries[k].layout_idx);
-        }
-      }
-      rethrow_scan_error();
-      for (const auto& e : rewind_entries) pool.touch(e.layout_idx);
-      stats.tiles_from_cache += rewind_entries.size();
-      stats.edges_processed += edges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    } else if (!config.rewind) {
-      // Base policy keeps nothing across iterations.
+  bool has_data(std::uint64_t layout_idx) const {
+    return store.tile_bytes(layout_idx) != 0 || overlay_count(layout_idx) != 0;
+  }
+
+  // Snapshots the pool into rewind_entries (layout order) and returns how
+  // many tiles it holds. The base policy (rewind off) keeps nothing across
+  // rounds.
+  std::size_t snapshot_pool() {
+    rewind_entries.clear();
+    if (!config.rewind) {
       pool.clear();
+      return 0;
     }
+    pool.for_each_entry(
+        [&](const CachePool::Entry& e) { rewind_entries.push_back(e); });
+    return rewind_entries.size();
+  }
 
-    // Fetch list: every stored, non-empty tile not already consumed from the
-    // cache, that the algorithm needs this iteration — in layout order.
-    std::vector<std::uint64_t> fetch;
-    {
-      std::size_t ci = 0;
-      for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-        while (ci < cached_indices.size() && cached_indices[ci] < idx) ++ci;
-        const bool in_cache =
-            ci < cached_indices.size() && cached_indices[ci] == idx;
-        if (in_cache) continue;
-        if (store.tile_bytes(idx) == 0) continue;
-        if (!needed_now(idx)) {
-          ++stats.tiles_skipped;
-          continue;
-        }
-        fetch.push_back(idx);
-      }
+  // Splits `tiles` (ascending layout indices) against the pool snapshot:
+  // cached tiles stay in rewind_entries, tiles with base bytes go to
+  // round_fetch, overlay-only tiles to round_delta_only. The snapshot is
+  // ascending too (the pool iterates its sorted map), so one merge pass
+  // does it.
+  void split_round(const std::vector<std::uint64_t>& tiles) {
+    round_fetch.clear();
+    round_delta_only.clear();
+    std::size_t ci = 0;
+    std::size_t kept = 0;
+    for (const std::uint64_t idx : tiles) {
+      while (ci < rewind_entries.size() && rewind_entries[ci].layout_idx < idx)
+        ++ci;
+      if (ci < rewind_entries.size() && rewind_entries[ci].layout_idx == idx)
+        rewind_entries[kept++] = rewind_entries[ci];
+      else if (store.tile_bytes(idx) != 0)
+        round_fetch.push_back(idx);
+      else if (overlay_count(idx) != 0)
+        round_delta_only.push_back(idx);
     }
+    rewind_entries.resize(kept);
+  }
 
-    // SLIDE: double-buffered stream over the fetch list. Any exception —
-    // an I/O failure past the retry budget, or one thrown by the algorithm
-    // itself — must not unwind past this frame while reads are still in
-    // flight into the segment buffers, so the whole phase quiesces before
-    // propagating.
+  // Runs one round's tiles. Both segments' reads are submitted first, so the
+  // device streams while REWIND processes the cached tiles from their pinned
+  // pool bytes (paper §VI-D). SLIDE then alternates the segments: wait for
+  // one, process and CACHE it, refill it while the other one's reads land.
+  // Overlay tiles with no base bytes are invisible to SLIDE (and never enter
+  // the cache), so they get a no-I/O pass last. Any exception — an I/O
+  // failure past the retry budget, or one thrown by the algorithm — must not
+  // unwind past this frame while reads are in flight into the segment
+  // buffers, so REWIND and SLIDE quiesce before propagating.
+  void run_pass(const std::vector<CachePool::Entry>& cached,
+                const std::vector<std::uint64_t>& fetch,
+                const std::vector<std::uint64_t>& delta_only) {
     std::size_t pos = 0;
-    int cur = 0;
     pending[0] = pending[1] = 0;
     try {
-      pending[cur] = fill_and_submit(cur, fetch, pos);
-      while (!segments[cur].empty()) {
-        const int nxt = cur ^ 1;
-        // Double-buffer state machine: the segment about to prefetch must be
-        // quiescent (its previous I/O reaped, its tiles processed).
-        GSTORE_DCHECK_EQ(pending[nxt], 0);
-        pending[nxt] = fill_and_submit(nxt, fetch, pos);  // prefetch
+      pending[0] = fill_and_submit(0, fetch, pos);
+      pending[1] = fill_and_submit(1, fetch, pos);
+      scan(
+          cached.size(), [&](std::size_t k) { return cached[k].layout_idx; },
+          [&](std::size_t k) { return cached[k].data; });
+      for (const auto& e : cached) pool.touch(e.layout_idx);
+      stats.tiles_from_cache += cached.size();
+      for (int cur = 0; !segments[cur].empty(); cur ^= 1) {
         wait_segment(cur);
         process_segment(cur);
-        cur = nxt;
+        // Double-buffer state machine: the segment about to refill is
+        // quiescent (its I/O reaped, its tiles processed and cached).
+        GSTORE_DCHECK_EQ(pending[cur], 0);
+        pending[cur] = fill_and_submit(cur, fetch, pos);
       }
     } catch (...) {
       quiesce_all();
@@ -401,37 +379,65 @@ struct ScrEngine::Runner {
     GSTORE_DCHECK_EQ(pos, fetch.size());
     GSTORE_DCHECK_EQ(pending[0], 0);
     GSTORE_DCHECK_EQ(pending[1], 0);
+    scan(
+        delta_only.size(), [&](std::size_t k) { return delta_only[k]; },
+        [](std::size_t) -> const std::uint8_t* { return nullptr; });
+  }
 
-    // Overlay tiles with no base bytes are invisible to the fetch list (and
-    // never enter the cache), so they get their own no-I/O pass.
-    if (overlay != nullptr) {
-      Timer t;
-      std::vector<std::uint64_t> delta_only;
-      for (const std::uint64_t idx : overlay_tiles) {
-        if (store.tile_bytes(idx) != 0) continue;  // spliced in during SLIDE/REWIND
-        if (!needed_now(idx)) continue;
-        delta_only.push_back(idx);
-      }
-      slot_costs.clear();
-      slot_costs.reserve(delta_only.size());
-      for (const std::uint64_t idx : delta_only)
-        slot_costs.push_back(overlay_count(idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(delta_only[k], nullptr);
-          oedges += slot_costs[k];
-        }
-      }
-      rethrow_scan_error();
-      stats.edges_processed += oedges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    }
+  IterationStats counters() const {
+    return IterationStats{stats.tiles_from_disk, stats.tiles_from_cache,
+                          stats.tiles_skipped, stats.edges_processed,
+                          bytes_fetched_total};
+  }
+
+  // Books a finished round: its fetched bytes count as wasted when it made
+  // no updates (last_round_updates() holds the round's count until the next
+  // begin hook resets it), and it gets its per_iteration entry.
+  void record_round(const IterationStats& before, std::uint32_t bucket,
+                    double seconds) {
+    const std::uint64_t fetched = bytes_fetched_total - before.bytes_fetched;
+    if (algo.last_round_updates() == 0) stats.wasted_fetch_bytes += fetched;
+    stats.per_iteration.push_back(IterationStats{
+        stats.tiles_from_disk - before.tiles_from_disk,
+        stats.tiles_from_cache - before.tiles_from_cache,
+        stats.tiles_skipped - before.tiles_skipped,
+        stats.edges_processed - before.edges_processed, fetched, bucket,
+        seconds});
+  }
+
+  // ---- one iteration -----------------------------------------------------
+
+  // Grid mode's round: every tile carrying data that the algorithm needs
+  // this iteration, in layout order.
+  void needed_tiles(std::vector<std::uint64_t>& out) const {
+    out.clear();
+    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx)
+      if (has_data(idx) && needed_now(idx)) out.push_back(idx);
+  }
+
+  // The tile_needed contract (algorithm.h): the list the pass was planned
+  // from, before any tile was processed, is still the list after the scan.
+  bool needed_tiles_unchanged() const {
+    std::vector<std::uint64_t> again;
+    needed_tiles(again);
+    return again == round_tiles;
+  }
+
+  // Returns true if the algorithm wants another iteration.
+  bool run_iteration(std::uint32_t iter) {
+    const Timer iter_timer;
+    const IterationStats before = counters();
+    algo.begin_iteration(iter);
+
+    // Plan the whole iteration up front, so reads are in flight before the
+    // first tile is processed. Every pool entry carries base bytes, so the
+    // tiles with bytes that are neither cached nor fetched were skipped.
+    const std::size_t pooled = snapshot_pool();
+    needed_tiles(round_tiles);
+    split_round(round_tiles);
+    stats.tiles_skipped += nonempty_tiles - pooled - round_fetch.size();
+    run_pass(rewind_entries, round_fetch, round_delta_only);
+    GSTORE_DCHECK(needed_tiles_unchanged());
 
     // Iteration-boundary cache analysis. Runs *before* end_iteration(): the
     // tile_useful_next oracle refers to the upcoming iteration, and
@@ -440,16 +446,7 @@ struct ScrEngine::Runner {
     if (pool.budget() > 0) policy->analyze(pool, grid, algo);
 
     const bool more = algo.end_iteration(iter);
-    const std::uint64_t fetched = bytes_fetched_total - before.bytes_fetched;
-    // last_round_updates() holds the iteration's update count until the next
-    // begin hook resets it, so it is still valid here.
-    if (algo.last_round_updates() == 0) stats.wasted_fetch_bytes += fetched;
-    stats.per_iteration.push_back(IterationStats{
-        stats.tiles_from_disk - before.tiles_from_disk,
-        stats.tiles_from_cache - before.tiles_from_cache,
-        stats.tiles_skipped - before.tiles_skipped,
-        stats.edges_processed - before.edges_processed, fetched,
-        IterationStats::kNoBucket, iter_timer.seconds()});
+    record_round(before, IterationStats::kNoBucket, iter_timer.seconds());
     return more;
   }
 
@@ -464,7 +461,7 @@ struct ScrEngine::Runner {
     row_tiles.assign(grid.p(), {});
     row_mark.assign(grid.p(), 0);
     for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-      if (store.tile_bytes(idx) == 0 && overlay_count(idx) == 0) continue;
+      if (!has_data(idx)) continue;
       const tile::TileCoord c = grid.coord_at(idx);
       row_tiles[c.i].push_back(idx);
       if (c.j != c.i) row_tiles[c.j].push_back(idx);
@@ -479,7 +476,7 @@ struct ScrEngine::Runner {
 
   void seed_worklist_full() {
     for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-      if (store.tile_bytes(idx) == 0 && overlay_count(idx) == 0) continue;
+      if (!has_data(idx)) continue;
       refresh_tile(idx);
     }
   }
@@ -496,129 +493,22 @@ struct ScrEngine::Runner {
       if (r < row_mark.size()) row_mark[r] = 0;
   }
 
-  // One worklist round: drain the minimum bucket, process its cached tiles
-  // first (no I/O), SLIDE the rest from disk at the bucket's fetch priority,
-  // then splice delta-only overlay tiles. Returns end_round()'s verdict.
+  // One worklist round: drain the minimum bucket, then one pass over its
+  // tiles — cached ones processed in place (the REWIND idea applied per
+  // round), the rest streamed at the bucket's fetch priority. Returns
+  // end_round()'s verdict.
   bool run_round(std::uint32_t round) {
     const Timer round_timer;
-    const IterationStats before{stats.tiles_from_disk, stats.tiles_from_cache,
-                                stats.tiles_skipped, stats.edges_processed,
-                                bytes_fetched_total};
+    const IterationStats before = counters();
     const std::uint32_t bucket = worklist.drain_min(round_tiles);
     GSTORE_DCHECK(bucket != TileWorklist::kIdle);
     algo.begin_round(round, bucket);
     stats.max_bucket = std::max(stats.max_bucket, bucket);
     fetch_priority = bucket;
 
-    // Partition the round: tiles already in the pool are processed in place
-    // (the REWIND idea applied per round), the rest are streamed. Overlay
-    // tiles with no base bytes never hit the fetch path.
-    round_fetch.clear();
-    round_delta_only.clear();
-    rewind_entries.clear();
-    if (config.rewind && pool.tile_count() > 0) {
-      pool.for_each_entry(
-          [&](const CachePool::Entry& e) { rewind_entries.push_back(e); });
-    } else if (!config.rewind) {
-      pool.clear();  // base policy keeps nothing across rounds
-    }
-    {
-      // Both lists are ascending in layout index (pool iterates its sorted
-      // map; drain_min sorts), so one merge pass splits the round.
-      std::size_t ci = 0;
-      std::vector<CachePool::Entry> cached;
-      for (const std::uint64_t idx : round_tiles) {
-        while (ci < rewind_entries.size() &&
-               rewind_entries[ci].layout_idx < idx)
-          ++ci;
-        if (ci < rewind_entries.size() &&
-            rewind_entries[ci].layout_idx == idx) {
-          cached.push_back(rewind_entries[ci]);
-          continue;
-        }
-        if (store.tile_bytes(idx) != 0)
-          round_fetch.push_back(idx);
-        else if (overlay_count(idx) != 0)
-          round_delta_only.push_back(idx);
-      }
-      rewind_entries.swap(cached);
-    }
-
-    // Cached tiles first — dispatch before any I/O is issued.
-    if (!rewind_entries.empty()) {
-      Timer t;
-      slot_costs.clear();
-      slot_costs.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        slot_costs.push_back(store.tile_edge_count(e.layout_idx) +
-                             overlay_count(e.layout_idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t edges = 0;
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : edges, oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(rewind_entries[k].layout_idx,
-                               rewind_entries[k].data);
-          edges += slot_costs[k];
-          oedges += overlay_count(rewind_entries[k].layout_idx);
-        }
-      }
-      rethrow_scan_error();
-      for (const auto& e : rewind_entries) pool.touch(e.layout_idx);
-      stats.tiles_from_cache += rewind_entries.size();
-      stats.edges_processed += edges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    }
-
-    // SLIDE over the round's fetch list (same quiesce-before-throw frame as
-    // the grid path: nothing may unwind while reads are in flight).
-    std::size_t pos = 0;
-    int cur = 0;
-    pending[0] = pending[1] = 0;
-    try {
-      pending[cur] = fill_and_submit(cur, round_fetch, pos);
-      while (!segments[cur].empty()) {
-        const int nxt = cur ^ 1;
-        GSTORE_DCHECK_EQ(pending[nxt], 0);
-        pending[nxt] = fill_and_submit(nxt, round_fetch, pos);
-        wait_segment(cur);
-        process_segment(cur);
-        cur = nxt;
-      }
-    } catch (...) {
-      quiesce_all();
-      throw;
-    }
-    GSTORE_DCHECK_EQ(pos, round_fetch.size());
-    GSTORE_DCHECK_EQ(pending[0], 0);
-    GSTORE_DCHECK_EQ(pending[1], 0);
-
-    if (!round_delta_only.empty()) {
-      Timer t;
-      slot_costs.clear();
-      slot_costs.reserve(round_delta_only.size());
-      for (const std::uint64_t idx : round_delta_only)
-        slot_costs.push_back(overlay_count(idx));
-      cost_chunks(slot_costs, chunks);
-      std::uint64_t oedges = 0;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) reduction(+ : oedges)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k) {
-          process_one_captured(round_delta_only[k], nullptr);
-          oedges += slot_costs[k];
-        }
-      }
-      rethrow_scan_error();
-      stats.edges_processed += oedges;
-      stats.overlay_edges += oedges;
-      stats.compute_seconds += t.seconds();
-    }
+    snapshot_pool();
+    split_round(round_tiles);  // drain_min sorts
+    run_pass(rewind_entries, round_fetch, round_delta_only);
 
     // Round-boundary cache analysis, before end_round for the same reason
     // the grid path runs it before end_iteration (tile_useful_next refers
@@ -626,14 +516,8 @@ struct ScrEngine::Runner {
     if (pool.budget() > 0) policy->analyze(pool, grid, algo);
 
     const bool more = algo.end_round(round, bucket);
-    const std::uint64_t fetched = bytes_fetched_total - before.bytes_fetched;
-    if (algo.last_round_updates() == 0) stats.wasted_fetch_bytes += fetched;
-    stats.per_iteration.push_back(IterationStats{
-        stats.tiles_from_disk - before.tiles_from_disk,
-        stats.tiles_from_cache - before.tiles_from_cache,
-        0,  // priority mode has no grid scan, hence nothing was "skipped"
-        stats.edges_processed - before.edges_processed, fetched, bucket,
-        round_timer.seconds()});
+    // Priority mode has no grid scan, hence nothing is ever "skipped".
+    record_round(before, bucket, round_timer.seconds());
     ++stats.rounds;
 
     // Re-file tiles whose priority inputs the round changed. An algorithm
@@ -718,8 +602,10 @@ struct ScrEngine::Runner {
   TileAlgorithm& algo;
   CachePool pool;
   std::unique_ptr<CachingPolicy> policy;
+  // The overlay is frozen for the duration of a run (reader/writer contract
+  // in tile/overlay.h), so which tiles carry data never changes mid-run.
   const tile::TileOverlay* overlay = nullptr;
-  std::vector<std::uint64_t> overlay_tiles;  // nonempty, ascending
+  std::uint64_t nonempty_tiles = 0;  // tiles with base bytes
   Segment segments[2];
   std::size_t pending[2] = {0, 0};
   std::uint64_t next_serial = 0;
@@ -737,15 +623,17 @@ struct ScrEngine::Runner {
   // the per-iteration hot path after warm-up).
   std::vector<std::uint64_t> slot_costs;
   std::vector<Chunk> chunks;
+  // One round's plan: its tiles, split into cached, fetched and
+  // overlay-only ones.
+  std::vector<std::uint64_t> round_tiles;
   std::vector<CachePool::Entry> rewind_entries;
+  std::vector<std::uint64_t> round_fetch;
+  std::vector<std::uint64_t> round_delta_only;
   // Priority-mode state: the bucketed worklist, the row→tiles adjacency it
   // is refreshed through, and per-round scratch.
   TileWorklist worklist;
   std::vector<std::vector<std::uint64_t>> row_tiles;
   std::vector<std::uint8_t> row_mark;
-  std::vector<std::uint64_t> round_tiles;
-  std::vector<std::uint64_t> round_fetch;
-  std::vector<std::uint64_t> round_delta_only;
   std::vector<std::uint32_t> dirty_rows_scratch;
   // Priority stamped onto this round's ReadRequests (the async engine
   // serves lower values first when requests from several rounds or engines

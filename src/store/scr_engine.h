@@ -1,19 +1,23 @@
 // The SCR (slide–cache–rewind) engine (paper §VI, Figure 8).
 //
-// Each iteration:
-//   REWIND — process the tiles already sitting in the cache pool before any
-//            I/O is issued (they were saved from the previous iteration).
+// Each iteration is planned right after begin_iteration() — which needed
+// tiles are cached, which must be fetched, which live only in the overlay —
+// and then runs one pass:
+//   REWIND — process the tiles already sitting in the cache pool (saved from
+//            the previous iteration). Both segments' first SLIDE reads are
+//            submitted before it starts, so the device streams meanwhile.
 //   SLIDE  — stream the remaining needed tiles from disk in physical-group
 //            layout order, double-buffered: one segment is loading via the
 //            async engine while the other is being processed.
 //   CACHE  — each processed segment offers its tiles to the cache pool under
-//            the configured policy; proactive analysis evicts tiles the
-//            algorithm's metadata rules out for the next iteration.
+//            the configured policy, one CachingPolicy::admit call per
+//            segment; proactive analysis evicts tiles the algorithm's
+//            metadata rules out for the next iteration.
 //
 // ScheduleMode::kPriority replaces the grid-order iteration with bucketed
 // worklist rounds (docs/SCHEDULING.md): each round drains the minimum
-// priority bucket of tiles — cached ones first, then a SLIDE over the rest —
-// and re-files tiles whose priority the algorithm's updates changed.
+// priority bucket of tiles, runs the same pass over them, and re-files tiles
+// whose priority the algorithm's updates changed.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "graph/generator.h"
 #include "store/scr_engine.h"
@@ -366,6 +370,128 @@ TEST(ScrEngine, CacheWarmupVisibleInPerIterationStats) {
   EXPECT_EQ(stats.per_iteration[1].tiles_from_disk, 0u);  // fully cached
   EXPECT_EQ(stats.per_iteration[2].tiles_from_disk, 0u);
   EXPECT_GT(stats.per_iteration[1].tiles_from_cache, 0u);
+}
+
+// ---- CACHE admission cost and REWIND/SLIDE overlap -------------------------
+
+std::uint64_t nonempty_tile_count(const tile::TileStore& store) {
+  std::uint64_t n = 0;
+  for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
+    if (store.tile_bytes(k) != 0) ++n;
+  return n;
+}
+
+// Counts caching-oracle calls per iteration. Every tile stays useful, so a
+// pool that fills stays full and every later tile is turned away.
+class OracleCountingAlgo final : public TileAlgorithm {
+ public:
+  std::string name() const override { return "oracle-counter"; }
+  void init(const tile::TileStore&) override {}
+  void begin_iteration(std::uint32_t) override { calls_ = 0; }
+  void process_tile(const tile::TileView&) override {}
+  bool end_iteration(std::uint32_t iter) override {
+    per_iter.push_back(calls_.load());
+    return iter + 1 < 3;
+  }
+  bool tile_useful_next(std::uint32_t, std::uint32_t) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  std::vector<std::uint64_t> per_iter;
+
+ private:
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(ScrEngine, ProactiveAdmissionIsLinearInTilesAndPool) {
+  io::TempDir dir;
+  auto store = kron_store(dir, 9, 6);
+  const std::uint64_t total =
+      store.bytes_of_range(0, store.grid().tile_count());
+  // One segment holds the whole graph and the pool a quarter of it.
+  EngineConfig c;
+  c.segment_bytes = total;
+  c.stream_memory_bytes = 2 * total + total / 4;
+  OracleCountingAlgo algo;
+  const auto stats = ScrEngine(store, c).run(algo);
+  ASSERT_EQ(algo.per_iter.size(), 3u);
+  const std::uint64_t tiles = nonempty_tile_count(store);
+  const std::uint64_t pooled = stats.per_iteration[1].tiles_from_cache;
+  ASSERT_GT(pooled, 0u);
+  ASSERT_LT(pooled, tiles);  // the pool filled
+  // One call per fetched tile plus at most one pool scan per CACHE step and
+  // one at the iteration boundary — never a scan per turned-away tile.
+  for (const std::uint64_t calls : algo.per_iter)
+    EXPECT_LE(calls, 2 * (tiles + pooled));
+}
+
+// The first process_tile of iteration 1 is a cached tile (REWIND comes before
+// any fetched tile is processed). It waits, up to 2 s, for the device to read
+// past its end-of-iteration-0 byte count: that only happens if the SLIDE
+// reads were submitted before REWIND started. Optionally it then throws.
+class OverlapProbeAlgo final : public TileAlgorithm {
+ public:
+  OverlapProbeAlgo(tile::TileStore& store, bool throw_on_probe)
+      : store_(store), throw_(throw_on_probe) {}
+  std::string name() const override { return "overlap-probe"; }
+  void init(const tile::TileStore&) override {}
+  void begin_iteration(std::uint32_t iter) override { iter_ = iter; }
+  void process_tile(const tile::TileView&) override {
+    if (iter_ == 0 || probed_.exchange(true)) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!device_moved() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    overlapped_ = device_moved();
+    if (throw_) throw std::runtime_error("probe failure");
+  }
+  bool end_iteration(std::uint32_t iter) override {
+    if (iter == 0) bytes_after_iter0_ = store_.device().stats().bytes_read;
+    return iter + 1 < 2;
+  }
+  bool overlapped() const { return overlapped_; }
+
+ private:
+  bool device_moved() {
+    return store_.device().stats().bytes_read > bytes_after_iter0_;
+  }
+  tile::TileStore& store_;
+  const bool throw_;
+  std::uint32_t iter_ = 0;
+  std::uint64_t bytes_after_iter0_ = 0;
+  std::atomic<bool> probed_{false};
+  std::atomic<bool> overlapped_{false};
+};
+
+// Half the graph fits the pool, so iteration 1 has cached tiles to REWIND
+// and others to SLIDE.
+EngineConfig half_cached(const tile::TileStore& store) {
+  const std::uint64_t total =
+      store.bytes_of_range(0, store.grid().tile_count());
+  EngineConfig c;
+  c.segment_bytes = total / 8;
+  c.stream_memory_bytes = 2 * c.segment_bytes + total / 2;
+  return c;
+}
+
+TEST(ScrEngine, SlideReadsOverlapRewind) {
+  io::TempDir dir;
+  auto store = kron_store(dir, 9, 6);
+  OverlapProbeAlgo algo(store, /*throw_on_probe=*/false);
+  const auto stats = ScrEngine(store, half_cached(store)).run(algo);
+  ASSERT_EQ(stats.per_iteration.size(), 2u);
+  ASSERT_GT(stats.per_iteration[1].tiles_from_cache, 0u);
+  ASSERT_GT(stats.per_iteration[1].tiles_from_disk, 0u);
+  EXPECT_TRUE(algo.overlapped());
+}
+
+TEST(ScrEngine, RewindThrowWithReadsInFlightUnwindsCleanly) {
+  io::TempDir dir;
+  auto store = kron_store(dir, 9, 6);
+  OverlapProbeAlgo algo(store, /*throw_on_probe=*/true);
+  EXPECT_THROW(ScrEngine(store, half_cached(store)).run(algo), std::runtime_error);
+  EXPECT_TRUE(algo.overlapped());
+  EXPECT_EQ(store.device().in_flight(), 0u);
 }
 
 }  // namespace

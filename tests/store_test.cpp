@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <set>
 
 #include "store/cache_pool.h"
 #include "store/caching_policy.h"
@@ -250,7 +251,7 @@ TEST(CachePool, ForEachEntryMatchesEntries) {
 
 // ---- policies ------------------------------------------------------------
 
-// Minimal algorithm stub exposing a controllable oracle.
+// Minimal algorithm stub exposing a controllable, counting oracle.
 class StubAlgo final : public TileAlgorithm {
  public:
   std::string name() const override { return "stub"; }
@@ -259,35 +260,55 @@ class StubAlgo final : public TileAlgorithm {
   void process_tile(const tile::TileView&) override {}
   bool end_iteration(std::uint32_t) override { return false; }
   bool tile_useful_next(std::uint32_t i, std::uint32_t) const override {
+    ++oracle_calls;
     return useful_rows.empty() || useful_rows.count(i) > 0;
   }
   std::set<std::uint32_t> useful_rows;  // empty = everything useful
+  mutable std::uint64_t oracle_calls = 0;
 };
+
+// A processed segment holding one `bytes`-sized tile per layout index.
+Segment segment_of(std::initializer_list<std::uint64_t> tiles,
+                   std::uint64_t bytes) {
+  Segment seg(tiles.size() * bytes);
+  for (const std::uint64_t idx : tiles) EXPECT_TRUE(seg.try_add(idx, bytes));
+  return seg;
+}
 
 TEST(CachingPolicy, NoneNeverCaches) {
   auto p = CachingPolicy::make(CachePolicyKind::kNone);
   StubAlgo algo;
-  EXPECT_FALSE(p->should_cache(0, {0, 0}, algo));
+  tile::Grid grid(16 * 4, false, 4, 1);
+  CachePool pool(100);
+  p->admit(pool, segment_of({0, 1}, 10), grid, algo);
+  EXPECT_EQ(pool.tile_count(), 0u);
 }
 
 TEST(CachingPolicy, LruAlwaysCachesAndEvicts) {
   auto p = CachingPolicy::make(CachePolicyKind::kLru);
   StubAlgo algo;
-  EXPECT_TRUE(p->should_cache(0, {0, 0}, algo));
+  algo.useful_rows = {99};  // LRU ignores the oracle
   CachePool pool(50);
   const auto d = bytes(40, 0);
   pool.insert(1, d.data(), d.size());
   tile::Grid grid(256, false, 4, 1);
-  EXPECT_TRUE(p->make_room(pool, 40, grid, algo));
-  EXPECT_EQ(pool.tile_count(), 0u);
+  p->admit(pool, segment_of({2}, 40), grid, algo);
+  EXPECT_EQ(pool.tile_count(), 1u);
+  EXPECT_TRUE(pool.contains(2));
+  EXPECT_EQ(pool.bytes_copied(), 40u);  // only the copying setup insert
 }
 
 TEST(CachingPolicy, ProactiveConsultsOracle) {
   auto p = CachingPolicy::make(CachePolicyKind::kProactive);
   StubAlgo algo;
   algo.useful_rows = {2};
-  EXPECT_TRUE(p->should_cache(0, {2, 3}, algo));
-  EXPECT_FALSE(p->should_cache(0, {1, 3}, algo));
+  tile::Grid grid(16 * 4, false, 4, 1);
+  CachePool pool(100);
+  p->admit(pool,
+           segment_of({grid.layout_index(2, 3), grid.layout_index(1, 3)}, 10),
+           grid, algo);
+  EXPECT_EQ(pool.tile_count(), 1u);
+  EXPECT_TRUE(pool.contains(grid.layout_index(2, 3)));
 }
 
 TEST(CachingPolicy, ProactiveAnalyzeEvictsRuledOutTiles) {
@@ -306,7 +327,7 @@ TEST(CachingPolicy, ProactiveAnalyzeEvictsRuledOutTiles) {
   EXPECT_TRUE(pool.contains(grid.layout_index(4, 0)));
 }
 
-TEST(CachingPolicy, ProactiveMakeRoomOnlyDropsUseless) {
+TEST(CachingPolicy, ProactiveAdmitOnlyDropsUseless) {
   auto p = CachingPolicy::make(CachePolicyKind::kProactive);
   StubAlgo algo;
   tile::Grid grid(16 * 4, false, 4, 1);
@@ -315,12 +336,35 @@ TEST(CachingPolicy, ProactiveMakeRoomOnlyDropsUseless) {
   pool.insert(grid.layout_index(0, 0), d.data(), d.size());
   pool.insert(grid.layout_index(1, 0), d.data(), d.size());
   pool.insert(grid.layout_index(2, 0), d.data(), d.size());
+  const std::uint64_t incoming = grid.layout_index(3, 0);
   algo.useful_rows = {0, 1, 2, 3};  // everything still useful
-  EXPECT_FALSE(p->make_room(pool, 10, grid, algo));
-  EXPECT_EQ(pool.tile_count(), 3u);  // nothing sacrificed
-  algo.useful_rows = {0};
-  EXPECT_TRUE(p->make_room(pool, 10, grid, algo));
-  EXPECT_EQ(pool.tile_count(), 1u);
+  p->admit(pool, segment_of({incoming}, 10), grid, algo);
+  EXPECT_EQ(pool.tile_count(), 3u);  // nothing sacrificed, newcomer loses
+  EXPECT_FALSE(pool.contains(incoming));
+  algo.useful_rows = {0, 3};  // rows 1 and 2 ruled out since
+  p->admit(pool, segment_of({incoming}, 10), grid, algo);
+  EXPECT_EQ(pool.tile_count(), 2u);
+  EXPECT_TRUE(pool.contains(grid.layout_index(0, 0)));
+  EXPECT_TRUE(pool.contains(incoming));
+}
+
+// The oracle is frozen for a CACHE step, so a full pool of useful tiles is
+// scanned once per step, not once per tile that does not fit.
+TEST(CachingPolicy, ProactiveAdmitScansPoolOncePerStep) {
+  auto p = CachingPolicy::make(CachePolicyKind::kProactive);
+  StubAlgo algo;
+  tile::Grid grid(16 * 8, false, 4, 1);
+  CachePool pool(40);
+  const auto d = bytes(10, 0);
+  for (std::uint32_t i = 0; i < 4; ++i)
+    pool.insert(grid.layout_index(i, 0), d.data(), d.size());
+  const auto seg = segment_of(
+      {grid.layout_index(4, 0), grid.layout_index(5, 0),
+       grid.layout_index(6, 0), grid.layout_index(7, 0)},
+      10);
+  p->admit(pool, seg, grid, algo);
+  EXPECT_EQ(pool.tile_count(), 4u);
+  EXPECT_EQ(algo.oracle_calls, 4u + 4u);  // one per slot + one pool scan
 }
 
 }  // namespace
