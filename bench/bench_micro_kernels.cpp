@@ -118,34 +118,46 @@ BENCHMARK(BM_EdgeBlockDecode)->Arg(1 << 12)->Arg(1 << 16);
 // an incompressible tile forces 16-bit planes, so the decoder runs its
 // widest (memcpy-like) unpacking — the acceptance bar is staying within
 // 10% of the raw block path above. The hub-tile variants show what decode
-// costs when a codec actually wins on size.
+// costs when a codec actually wins on size; hybrid_sparse is the Kron row
+// shape.
 struct CodecView {
   std::vector<std::uint8_t> payload;
-  std::vector<tile::SnbEdge> raw;  // kRaw views alias the body instead
   tile::TileView v;
 
   CodecView(tile::TileCodec codec, std::vector<tile::SnbEdge> edges) {
     std::sort(edges.begin(), edges.end());  // what the v3 writer does
     payload = tile::encode_tile_as(codec, edges);
-    const tile::TileCodecInfo info = tile::parse_tile_payload(payload);
     v.src_base = 1 << 16;
     v.dst_base = 2 << 16;
-    v.codec = info.codec;
-    v.src_bits = static_cast<std::uint8_t>(info.src_bits);
-    v.dst_bits = static_cast<std::uint8_t>(info.dst_bits);
-    v.coded_edges = info.edge_count;
-    v.payload = info.body;
-    if (info.codec == tile::TileCodec::kRaw) {
-      raw = std::move(edges);
-      v.edges = raw;
-    }
+    v.set_payload(tile::parse_tile_payload(payload));
   }
 };
 
+// Kron-shaped tile: rows of 1-8 edges, about half of them single-edge, with
+// 12-bit dsts. Real Kron tiles decode rows of 3.4 edges on average, so the
+// per-row header chain, not the per-edge unpack, sets their decode cost.
+std::vector<tile::SnbEdge> sparse_rows_tile(std::size_t n) {
+  Xoshiro256 rng(11);
+  std::vector<tile::SnbEdge> edges;
+  edges.reserve(n);
+  for (std::uint32_t src = 0; edges.size() < n; ++src) {
+    const std::size_t len = rng.next_below(2) == 0 ? 1 : 2 + rng.next_below(7);
+    for (std::size_t k = 0; k < len && edges.size() < n; ++k)
+      edges.push_back({static_cast<std::uint16_t>(src),
+                       static_cast<std::uint16_t>(rng.next_below(1 << 12))});
+  }
+  return edges;
+}
+
+enum class TileShape { kRandom, kHub, kSparseRows };
+
 void BM_CodecBlockDecode(benchmark::State& state, tile::TileCodec codec,
-                         bool hub) {
+                         TileShape shape) {
   const std::size_t n = 1 << 14;
-  const CodecView cv(codec, hub ? hub_tile(n) : random_tile(n, 7));
+  const CodecView cv(codec, shape == TileShape::kHub ? hub_tile(n)
+                            : shape == TileShape::kSparseRows
+                                ? sparse_rows_tile(n)
+                                : random_tile(n, 7));
   std::uint64_t sink = 0;
   for (auto _ : state) {
     tile::for_each_block(cv.v, [&](const tile::EdgeBlock& b) {
@@ -158,16 +170,19 @@ void BM_CodecBlockDecode(benchmark::State& state, tile::TileCodec codec,
       static_cast<double>(cv.payload.size());
 }
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, raw_random, tile::TileCodec::kRaw,
-                  false);
+                  TileShape::kRandom);
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, packed_random, tile::TileCodec::kPacked,
-                  false);
+                  TileShape::kRandom);
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, delta_hub, tile::TileCodec::kDelta,
-                  true);
+                  TileShape::kHub);
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, packed_hub, tile::TileCodec::kPacked,
-                  true);
-BENCHMARK_CAPTURE(BM_CodecBlockDecode, runs_hub, tile::TileCodec::kRuns, true);
+                  TileShape::kHub);
+BENCHMARK_CAPTURE(BM_CodecBlockDecode, runs_hub, tile::TileCodec::kRuns,
+                  TileShape::kHub);
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, hybrid_hub, tile::TileCodec::kHybrid,
-                  true);
+                  TileShape::kHub);
+BENCHMARK_CAPTURE(BM_CodecBlockDecode, hybrid_sparse, tile::TileCodec::kHybrid,
+                  TileShape::kSparseRows);
 
 // The migration this path exists for: a per-vertex metadata gather (the shape
 // of BFS depth checks / PageRank contribution reads) over tiles whose bases

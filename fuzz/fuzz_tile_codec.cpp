@@ -6,9 +6,13 @@
 //   * parse_tile_payload / decompress_tile reject any malformed payload with
 //     a typed FormatError — never a crash, a wrapped size computation, or an
 //     attacker-sized allocation — and they agree on accept vs reject;
-//   * an accepted payload decodes identically through the streaming decoder
-//     (TileDecoder, the EdgeBlock hot path) and the scalar oracle
-//     (decompress_tile);
+//   * an accepted payload decodes identically through the EdgeBlock hot
+//     path (for_each_block over a TileView, which runs decode_blocks) and
+//     the scalar oracle (decompress_tile); a rejected body is rejected by
+//     the hot path too;
+//   * every block the hot path hands out keeps the EdgeBlock invariants
+//     (0 < size <= kMaxEdges, `first` = edges before it) and stays within
+//     the declared edge count, accepted payload or not;
 //   * whatever edges an accepted payload holds survive a re-encode round
 //     trip bit-exactly, through compress_tile's codec pick and through every
 //     codec forced individually.
@@ -19,6 +23,8 @@
 
 #include "graph/types.h"
 #include "tile/compress.h"
+#include "tile/edge_block.h"
+#include "tile/tile_file.h"
 #include "util/status.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -44,37 +50,47 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // input; the cross-checks below cover the loops at every count.
   if (info.edge_count > (1u << 16)) return 0;
 
+  constexpr graph::vid_t kSrcBase = 1u << 20, kDstBase = 3u << 20;
+  tile::TileView v;
+  v.src_base = kSrcBase;
+  v.dst_base = kDstBase;
+  v.set_payload(info);
+
+  // Every block the hot path hands out keeps the EdgeBlock invariants and
+  // stays within the declared edge count, even on a payload it then rejects.
+  std::size_t at = 0;
+  const auto check_block = [&](const tile::EdgeBlock& b) {
+    if (b.view != &v || b.first != at || b.size == 0 ||
+        b.size > tile::EdgeBlock::kMaxEdges ||
+        at + b.size > info.edge_count)
+      std::abort();
+    at += b.size;
+  };
+
   std::vector<tile::SnbEdge> oracle;
   try {
     oracle = tile::decompress_tile(payload);
   } catch (const FormatError&) {
-    // Body rejected after a valid header: the streaming decoder must agree.
+    // Body rejected after a valid header: the hot path must agree.
     try {
-      tile::TileDecoder dec(info);
-      graph::vid_t s[512], d[512];
-      while (dec.decode(s, d, 512, 0, 0) > 0) {
-      }
+      tile::for_each_block(v, check_block);
       std::abort();
     } catch (const FormatError&) {
     }
     return 0;
   }
 
-  // Accepted: streaming decode agrees with the oracle edge for edge.
-  {
-    constexpr graph::vid_t kSrcBase = 1u << 20, kDstBase = 3u << 20;
-    tile::TileDecoder dec(info);
-    graph::vid_t s[512], d[512];
-    std::size_t got, at = 0;
-    while ((got = dec.decode(s, d, 512, kSrcBase, kDstBase)) > 0) {
-      for (std::size_t k = 0; k < got; ++k, ++at) {
-        if (at >= oracle.size() || s[k] != kSrcBase + oracle[at].src16 ||
-            d[k] != kDstBase + oracle[at].dst16)
-          std::abort();
-      }
+  // Accepted: the hot path agrees with the oracle edge for edge.
+  tile::for_each_block(v, [&](const tile::EdgeBlock& b) {
+    const std::size_t first = at;
+    check_block(b);
+    for (std::uint32_t k = 0; k < b.size; ++k) {
+      const tile::SnbEdge& e = oracle[first + k];
+      if (b.src[k] != kSrcBase + e.src16 || b.dst[k] != kDstBase + e.dst16)
+        std::abort();
     }
-    if (at != oracle.size()) std::abort();
-  }
+  });
+  if (at != oracle.size()) std::abort();
 
   // Re-encode round trips, through the pick and through each codec forced.
   if (tile::decompress_tile(tile::compress_tile(oracle)) != oracle)

@@ -2,11 +2,12 @@
 //
 //   fuzz_make_corpus <out_dir>
 //
-// writes <out_dir>/wal_replay/* and <out_dir>/tile_meta/* — structurally
+// writes <out_dir>/wal_replay/*, tile_meta/* and tile_codec/* — structurally
 // valid inputs (plus near-valid crash artifacts like torn tails) so the
 // fuzzers start from deep inside the parsers instead of bouncing off the
 // magic-number checks. The checked-in corpora under fuzz/corpus/ were
 // produced by this tool; rerun it after any format change.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -159,6 +160,15 @@ void make_codec_seeds(const fs::path& dir) {
     hub.push_back({5, static_cast<std::uint16_t>(d * 2 + (d % 7))});
   hub.push_back({9, 10});
   hub.push_back({12, 40000});
+  // Kron-shaped rows: 1-4 edges each, half of them single-edge, with 12-bit
+  // dsts, so kHybrid bit-packs every row — the shape real Kron tiles decode.
+  std::vector<tile::SnbEdge> kron;
+  for (std::uint16_t r = 0; r < 150; ++r) {
+    const unsigned len = r % 2 == 0 ? 1 : 2 + (r / 2) % 3;
+    for (unsigned c = 0; c < len; ++c)
+      kron.push_back({static_cast<std::uint16_t>(r * 5),
+                      static_cast<std::uint16_t>((r * 997 + c * 1231) % 4096)});
+  }
 
   const char* names[tile::kTileCodecCount] = {"raw", "delta", "packed", "runs",
                                               "hybrid"};
@@ -170,6 +180,9 @@ void make_codec_seeds(const fs::path& dir) {
     spit(dir / (std::string(names[c]) + ".payload"),
          tile::encode_tile_as(static_cast<tile::TileCodec>(c), edges));
   }
+  std::sort(kron.begin(), kron.end());
+  spit(dir / "hybrid_kron.payload",
+       tile::encode_tile_as(tile::TileCodec::kHybrid, kron));
   spit(dir / "picked.payload", tile::compress_tile(clustered));
   spit(dir / "empty.payload", tile::compress_tile({}));
 }

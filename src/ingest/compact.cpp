@@ -8,6 +8,7 @@
 #include "ingest/wal.h"
 #include "io/file.h"
 #include "tile/convert.h"
+#include "tile/edge_block.h"
 #include "tile/tile_file.h"
 
 namespace gstore::ingest {

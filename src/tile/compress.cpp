@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "tile/edge_block.h"
 #include "util/checked.h"
 #include "util/dcheck.h"
 #include "util/status.h"
@@ -90,14 +91,15 @@ void unpack_plane(const std::uint8_t* p, std::size_t avail, std::uint64_t start,
     return;
   }
   const std::uint32_t mask = (1u << bits) - 1u;
-  // Elements whose full 8-byte load window stays inside `avail` bytes.
+  // Elements whose full 8-byte load window stays inside `avail` bytes: the
+  // ones at index <= last_bit / bits.
   std::size_t bulk = 0;
   if (avail >= 8) {
-    const std::uint64_t last_bit = (static_cast<std::uint64_t>(avail) - 8) * 8;
-    for (std::size_t k = 0; k < count; ++k) {
-      if ((start + k) * bits > last_bit) break;
-      ++bulk;
-    }
+    const std::uint64_t last =
+        (static_cast<std::uint64_t>(avail) - 8) * 8 / bits;
+    if (last >= start)
+      bulk = static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, last - start + 1));
   }
   for (std::size_t k = 0; k < bulk; ++k) {
     const std::uint64_t bitpos = (start + k) * bits;
@@ -109,6 +111,27 @@ void unpack_plane(const std::uint8_t* p, std::size_t avail, std::uint64_t start,
     const std::uint64_t bitpos = (start + k) * bits;
     out[k] = base + read_bits_tail(p, avail, bitpos, mask);
   }
+}
+
+// Reads two consecutive varints: a row header (src delta, then the item
+// count or count/mode word), a (gap, run length - 1) item or a kDelta edge.
+// Both fit one byte in nearly every row header, which one 2-byte load covers.
+struct VarintPair {
+  std::uint32_t first;
+  std::uint32_t second;
+};
+inline VarintPair get_varint_pair(std::span<const std::uint8_t> in,
+                                  std::size_t& pos) {
+  if (in.size() - pos >= 2) {
+    std::uint16_t two = 0;
+    std::memcpy(&two, in.data() + pos, 2);
+    if ((two & 0x8080u) == 0) {
+      pos += 2;
+      return {two & 0xFFu, static_cast<std::uint32_t>(two >> 8)};
+    }
+  }
+  const std::uint32_t first = get_varint(in, pos);
+  return {first, get_varint(in, pos)};
 }
 
 // After the last declared edge, only zero padding (< 4 bytes) may remain.
@@ -397,7 +420,7 @@ std::vector<SnbEdge> decompress_tile(std::span<const std::uint8_t> payload) {
   out.reserve(static_cast<std::size_t>(n));
 
   // Bit-by-bit plane reader: deliberately naive so the oracle shares nothing
-  // with TileDecoder's windowed fast paths.
+  // with decode_blocks' windowed fast paths.
   auto get_bits = [&](std::uint64_t bitpos, unsigned bits) -> std::uint32_t {
     if (bitpos + bits > static_cast<std::uint64_t>(body.size()) * 8)
       throw FormatError("truncated bit-packed tile body");
@@ -522,165 +545,164 @@ std::vector<SnbEdge> decompress_tile(std::span<const std::uint8_t> payload) {
   return out;
 }
 
-// ---- TileDecoder -----------------------------------------------------------
+// ---- block decoder ---------------------------------------------------------
 
-TileDecoder::TileDecoder(const TileCodecInfo& info) : info_(info) {
-  if (info_.codec == TileCodec::kPacked) {
-    const std::size_t src_plane = static_cast<std::size_t>(
-        (info_.edge_count * info_.src_bits + 7) / 8);
-    const std::size_t dst_plane = static_cast<std::size_t>(
-        (info_.edge_count * info_.dst_bits + 7) / 8);
-    dst_plane_off_ = src_plane;
-    pos_ = src_plane + dst_plane;  // body cursor used only by check_tail()
-  }
-}
-
-std::size_t TileDecoder::decode(graph::vid_t* src, graph::vid_t* dst,
-                                std::size_t cap, graph::vid_t src_base,
-                                graph::vid_t dst_base) {
-  const std::uint64_t rem = remaining();
-  const std::size_t take =
-      cap < rem ? cap : static_cast<std::size_t>(rem);
-  if (take == 0) return 0;
-  std::size_t got = 0;
-  switch (info_.codec) {
-    case TileCodec::kRaw:
-      got = decode_raw(src, dst, take, src_base, dst_base);
-      break;
-    case TileCodec::kDelta:
-      got = decode_delta(src, dst, take, src_base, dst_base);
-      break;
-    case TileCodec::kPacked:
-      got = decode_packed(src, dst, take, src_base, dst_base);
-      break;
-    default:
-      got = decode_rowwise(src, dst, take, src_base, dst_base);
-      break;
-  }
-  done_ += got;
-  if (done_ == info_.edge_count) check_tail();
-  return got;
-}
-
-std::size_t TileDecoder::decode_raw(graph::vid_t* src, graph::vid_t* dst,
-                                    std::size_t take, graph::vid_t sb,
-                                    graph::vid_t db) {
-  const std::uint8_t* p =
-      info_.body.data() + static_cast<std::size_t>(done_) * sizeof(SnbEdge);
-  for (std::size_t k = 0; k < take; ++k) {
-    std::uint16_t s, d;
-    std::memcpy(&s, p + k * 4, 2);
-    std::memcpy(&d, p + k * 4 + 2, 2);
-    src[k] = sb + s;
-    dst[k] = db + d;
-  }
-  pos_ += take * sizeof(SnbEdge);
-  return take;
-}
-
-std::size_t TileDecoder::decode_delta(graph::vid_t* src, graph::vid_t* dst,
-                                      std::size_t take, graph::vid_t sb,
-                                      graph::vid_t db) {
-  for (std::size_t k = 0; k < take; ++k) {
-    const std::uint32_t dsrc = get_varint(info_.body, pos_);
-    const std::uint32_t dval = get_varint(info_.body, pos_);
-    prev_src_ = (prev_src_ + dsrc) & 0xFFFFu;
-    prev_dst_ = (dsrc == 0 ? prev_dst_ + dval : dval) & 0xFFFFu;
-    src[k] = sb + prev_src_;
-    dst[k] = db + prev_dst_;
-  }
-  return take;
-}
-
-std::size_t TileDecoder::decode_packed(graph::vid_t* src, graph::vid_t* dst,
-                                       std::size_t take, graph::vid_t sb,
-                                       graph::vid_t db) {
-  const std::uint8_t* base = info_.body.data();
-  const std::size_t body_bytes = info_.body.size();
-  unpack_plane(base, body_bytes, done_, take, info_.src_bits, sb, src);
-  unpack_plane(base + dst_plane_off_, body_bytes - dst_plane_off_, done_, take,
-               info_.dst_bits, db, dst);
-  return take;
-}
-
-std::size_t TileDecoder::decode_rowwise(graph::vid_t* src, graph::vid_t* dst,
-                                        std::size_t take, graph::vid_t sb,
-                                        graph::vid_t db) {
-  const std::span<const std::uint8_t> body = info_.body;
-  const bool hybrid = info_.codec == TileCodec::kHybrid;
-  const std::uint32_t dst_mask =
-      hybrid ? (1u << info_.dst_bits) - 1u : 0;
-  std::size_t k = 0;
-  while (k < take) {
-    if (run_left_ > 0) {
-      src[k] = sb + prev_src_;
-      dst[k] = db + (run_dst_ & 0xFFFFu);
-      ++run_dst_;
-      --run_left_;
-      if (hybrid) --row_left_;
-      ++k;
-      continue;
+void decode_blocks(const TileCodecInfo& info, graph::vid_t sb, graph::vid_t db,
+                   EdgeBlock& b, void (*sink)(void*, const EdgeBlock&),
+                   void* ctx) {
+  GS_CHECK_MSG(info.codec != TileCodec::kRaw,
+               "raw tile bodies are aliased, not decoded");
+  // All cursor state lives in locals, so the widening stores into the block
+  // arrays never force it back to memory.
+  const std::span<const std::uint8_t> body = info.body;
+  const std::uint8_t* const p = body.data();
+  const std::size_t size = body.size();
+  constexpr std::size_t cap = EdgeBlock::kMaxEdges;
+  graph::vid_t* const src = b.src;
+  graph::vid_t* const dst = b.dst;
+  std::size_t k = 0;      // slots filled in the current block
+  std::size_t first = 0;  // edges handed out before the current block
+  const auto flush = [&] {
+    b.first = first;
+    b.size = static_cast<std::uint32_t>(k);
+    sink(ctx, b);
+    first += k;
+    k = 0;
+  };
+  // Expands a run of `len` consecutive dsts from d0 (mod 2^16) for one row.
+  const auto emit_run = [&](graph::vid_t row_src, std::uint32_t d0,
+                            std::uint64_t len) {
+    while (len > 0) {
+      if (k == cap) flush();
+      const std::size_t take =
+          static_cast<std::size_t>(std::min<std::uint64_t>(cap - k, len));
+      for (std::size_t t = 0; t < take; ++t) {
+        src[k + t] = row_src;
+        dst[k + t] = db + ((d0 + static_cast<std::uint32_t>(t)) & 0xFFFFu);
+      }
+      k += take;
+      d0 += static_cast<std::uint32_t>(take);
+      len -= take;
     }
-    if (row_left_ > 0) {
-      if (row_packed_) {
-        if (row_bitpos_ + info_.dst_bits >
-            static_cast<std::uint64_t>(body.size()) * 8)
-          throw FormatError("truncated bit-packed hybrid row");
-        const std::uint32_t d =
-            read_bits_tail(body.data(), body.size(), row_bitpos_, dst_mask);
-        row_bitpos_ += info_.dst_bits;
-        --row_left_;
-        if (row_left_ == 0) {
-          pos_ = static_cast<std::size_t>((row_bitpos_ + 7) / 8);
-          row_packed_ = false;
-        }
-        src[k] = sb + prev_src_;
+  };
+
+  std::uint64_t left = info.edge_count;  // declared edges not yet decoded
+  std::size_t pos = 0;                   // byte cursor into the body
+  std::uint32_t s = 0;                   // current local src
+  switch (info.codec) {
+    case TileCodec::kRaw:
+      break;
+    case TileCodec::kDelta: {
+      std::uint32_t d = 0;
+      for (; left > 0; --left) {
+        if (k == cap) flush();
+        const auto [dsrc, dval] = get_varint_pair(body, pos);
+        s = (s + dsrc) & 0xFFFFu;
+        d = (dsrc == 0 ? d + dval : dval) & 0xFFFFu;
+        src[k] = sb + s;
         dst[k] = db + d;
         ++k;
-        continue;
       }
-      // Next (gap, run) item of the current row.
-      const std::uint32_t gap = get_varint(body, pos_);
-      const std::uint64_t len =
-          static_cast<std::uint64_t>(get_varint(body, pos_)) + 1;
-      if (hybrid) {
-        if (len > row_left_)
-          throw FormatError("hybrid row run overflows its declared count");
-      } else {
-        if (len > info_.edge_count - (done_ + k))
-          throw FormatError("runs tile body encodes more edges than declared");
-        --row_left_;  // consumed one of the row's declared items
-      }
-      run_dst_ = (prev_dst_ + gap) & 0xFFFFu;
-      run_left_ = len;
-      prev_dst_ = run_dst_ + static_cast<std::uint32_t>(len);
-      continue;
+      break;
     }
-    // New row.
-    prev_src_ = (prev_src_ + get_varint(body, pos_)) & 0xFFFFu;
-    prev_dst_ = 0;
-    if (hybrid) {
-      const std::uint32_t h = get_varint(body, pos_);
-      const std::uint32_t count = h >> 1;
-      if (count == 0) throw FormatError("empty row in hybrid tile body");
-      if (count > info_.edge_count - (done_ + k))
-        throw FormatError("hybrid tile body encodes more edges than declared");
-      row_left_ = count;
-      row_packed_ = (h & 1u) != 0;
-      if (row_packed_) row_bitpos_ = static_cast<std::uint64_t>(pos_) * 8;
-    } else {
-      const std::uint32_t items = get_varint(body, pos_);
-      if (items == 0) throw FormatError("empty row in runs tile body");
-      row_left_ = items;
+    case TileCodec::kPacked: {
+      const std::uint64_t n = info.edge_count;
+      const std::size_t src_plane =
+          static_cast<std::size_t>((n * info.src_bits + 7) / 8);
+      pos = src_plane +
+            static_cast<std::size_t>((n * info.dst_bits + 7) / 8);
+      for (std::uint64_t done = 0; done < n; done += k) {
+        if (k == cap) flush();
+        k = static_cast<std::size_t>(std::min<std::uint64_t>(cap, n - done));
+        unpack_plane(p, size, done, k, info.src_bits, sb, src);
+        unpack_plane(p + src_plane, size - src_plane, done, k, info.dst_bits,
+                     db, dst);
+      }
+      break;
+    }
+    case TileCodec::kRuns:
+      while (left > 0) {
+        const auto [dsrc, items] = get_varint_pair(body, pos);
+        s = (s + dsrc) & 0xFFFFu;
+        if (items == 0) throw FormatError("empty row in runs tile body");
+        std::uint32_t prev_end = 0;
+        for (std::uint32_t it = 0; it < items; ++it) {
+          const auto [gap, len_minus_1] = get_varint_pair(body, pos);
+          const std::uint64_t len = std::uint64_t{len_minus_1} + 1;
+          if (len > left)
+            throw FormatError(
+                "runs tile body encodes more edges than declared");
+          left -= len;
+          const std::uint32_t d0 = (prev_end + gap) & 0xFFFFu;
+          emit_run(sb + s, d0, len);
+          prev_end = d0 + static_cast<std::uint32_t>(len);
+        }
+      }
+      break;
+    case TileCodec::kHybrid: {
+      const unsigned bits = info.dst_bits;
+      const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+      while (left > 0) {
+        const auto [dsrc, h] = get_varint_pair(body, pos);
+        s = (s + dsrc) & 0xFFFFu;
+        const std::uint32_t count = h >> 1;
+        if (count == 0) throw FormatError("empty row in hybrid tile body");
+        if (count > left)
+          throw FormatError(
+              "hybrid tile body encodes more edges than declared");
+        left -= count;
+        const graph::vid_t row_src = sb + s;
+        if ((h & 1u) == 0) {  // gap/run items
+          std::uint32_t prev_end = 0;
+          for (std::uint32_t rem = count; rem > 0;) {
+            const auto [gap, len_minus_1] = get_varint_pair(body, pos);
+            const std::uint64_t len = std::uint64_t{len_minus_1} + 1;
+            if (len > rem)
+              throw FormatError("hybrid row run overflows its declared count");
+            rem -= static_cast<std::uint32_t>(len);
+            const std::uint32_t d0 = (prev_end + gap) & 0xFFFFu;
+            emit_run(row_src, d0, len);
+            prev_end = d0 + static_cast<std::uint32_t>(len);
+          }
+          continue;
+        }
+        // Bit-packed dsts from this byte boundary; one bounds check per row.
+        const std::uint64_t row_bytes =
+            (static_cast<std::uint64_t>(count) * bits + 7) / 8;
+        if (row_bytes > size - pos)
+          throw FormatError("truncated bit-packed hybrid row");
+        const std::uint8_t* const row = p + pos;
+        if (count <= 4 && size - pos >= 8) {
+          // Short row: four slots from one 8-byte window (4 x 16 bits <= 64);
+          // slots past `count` stay outside the block until a later row
+          // fills them.
+          if (cap - k < 4) flush();
+          std::uint64_t w = 0;
+          std::memcpy(&w, row, 8);
+          for (unsigned j = 0; j < 4; ++j) {
+            src[k + j] = row_src;
+            dst[k + j] =
+                db + static_cast<graph::vid_t>((w >> (j * bits)) & mask);
+          }
+          k += count;
+        } else {
+          for (std::size_t done = 0; done < count;) {
+            if (k == cap) flush();
+            const std::size_t take =
+                std::min<std::size_t>(cap - k, count - done);
+            std::fill_n(src + k, take, row_src);
+            unpack_plane(row, size - pos, done, take, bits, db, dst + k);
+            k += take;
+            done += take;
+          }
+        }
+        pos += static_cast<std::size_t>(row_bytes);
+      }
+      break;
     }
   }
-  return k;
-}
-
-void TileDecoder::check_tail() const {
-  if (run_left_ != 0 || row_left_ != 0)
-    throw FormatError("tile payload encodes more edges than declared");
-  check_zero_tail(info_.body, pos_);
+  check_zero_tail(body, pos);
+  if (k > 0) flush();
 }
 
 }  // namespace gstore::tile

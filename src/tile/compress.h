@@ -23,7 +23,7 @@
 // tuple order bit-exactly — sortedness only affects the ratio; writers sort
 // each tile slice before encoding. The header fields are untrusted on-disk
 // data: parse_tile_payload() range-checks every field through util/checked.h
-// once, and everything downstream (TileDecoder, decompress_tile) consumes
+// once, and everything downstream (decode_blocks, decompress_tile) consumes
 // only the sanitized TileCodecInfo.
 #pragma once
 
@@ -92,60 +92,28 @@ std::vector<std::uint8_t> encode_tile_as(TileCodec codec,
                                          std::span<const SnbEdge> edges);
 
 // Decompresses a payload produced by compress_tile/encode_tile_as. This is
-// the independent scalar oracle: it shares no decode state machine with
-// TileDecoder, and it insists on a fully-consumed body (only zero padding
+// the independent scalar oracle: it shares no decode loop with
+// decode_blocks, and it insists on a fully-consumed body (only zero padding
 // may trail the encoded edges). Throws FormatError on malformed input.
 std::vector<SnbEdge> decompress_tile(std::span<const std::uint8_t> payload);
 
 // Size in bytes that `edges` would occupy after compression.
 std::size_t compressed_size(std::span<const SnbEdge> edges);
 
-// Streaming decoder for the EdgeBlock hot path: decodes up to `cap` edges
-// per call directly into SoA vid_t arrays, fusing the tile-base re-attach
-// (global = base + local) into the widening store — no intermediate
-// std::vector<SnbEdge>. The codec branch is taken once per call (once per
-// 512-edge block), hoisted out of the inner loops, which are flat
-// auto-vectorizable widening passes for kRaw/kPacked. Construct from a
-// sanitized TileCodecInfo only.
-class TileDecoder {
- public:
-  explicit TileDecoder(const TileCodecInfo& info);
+struct EdgeBlock;  // tile/edge_block.h
 
-  // Decodes min(cap, remaining()) edges; returns how many were produced.
-  // Writes global vertex ids src_base+local / dst_base+local. Throws
-  // FormatError if the body is truncated or structurally invalid. After the
-  // final edge, throws if anything but zero padding trails the body.
-  std::size_t decode(graph::vid_t* src, graph::vid_t* dst, std::size_t cap,
-                     graph::vid_t src_base, graph::vid_t dst_base);
-
-  std::uint64_t produced() const noexcept { return done_; }
-  std::uint64_t remaining() const noexcept { return info_.edge_count - done_; }
-
- private:
-  std::size_t decode_raw(graph::vid_t* src, graph::vid_t* dst, std::size_t take,
-                         graph::vid_t sb, graph::vid_t db);
-  std::size_t decode_delta(graph::vid_t* src, graph::vid_t* dst,
-                           std::size_t take, graph::vid_t sb, graph::vid_t db);
-  std::size_t decode_packed(graph::vid_t* src, graph::vid_t* dst,
-                            std::size_t take, graph::vid_t sb, graph::vid_t db);
-  std::size_t decode_rowwise(graph::vid_t* src, graph::vid_t* dst,
-                             std::size_t take, graph::vid_t sb,
-                             graph::vid_t db);
-  void check_tail() const;
-
-  TileCodecInfo info_;
-  std::uint64_t done_ = 0;
-  std::size_t pos_ = 0;  // byte cursor (kRaw/kDelta/kRuns/kHybrid)
-  // kPacked plane geometry (validated in the constructor).
-  std::size_t dst_plane_off_ = 0;
-  // kDelta/kRuns/kHybrid row state.
-  std::uint32_t prev_src_ = 0;
-  std::uint32_t prev_dst_ = 0;
-  std::uint64_t row_left_ = 0;      // items (kRuns) or dsts (kHybrid) left
-  bool row_packed_ = false;         // kHybrid: current row is bit-packed
-  std::uint64_t row_bitpos_ = 0;    // kHybrid packed row: absolute bit cursor
-  std::uint32_t run_dst_ = 0;       // kRuns/kHybrid: next dst of current run
-  std::uint64_t run_left_ = 0;      // edges left in the current run item
-};
+// Block decoder for the EdgeBlock hot path; for_each_block() is its caller.
+// Walks an encoded body in storage order (a source row at a time for kRuns
+// and kHybrid), writes global ids base + local straight into block.src/dst
+// and calls sink(ctx, block) for each filled block: 0 < size <= kMaxEdges and
+// `first` counts the edges before it. A block may end short of kMaxEdges at
+// a row boundary; a row that does not fit continues in the next block.
+// Throws FormatError if the body is truncated or structurally invalid, or if
+// anything but zero padding trails the declared edges; the final block is
+// handed out only after that tail check. `info` must come from
+// parse_tile_payload() and must not be kRaw (raw bodies alias the payload).
+void decode_blocks(const TileCodecInfo& info, graph::vid_t src_base,
+                   graph::vid_t dst_base, EdgeBlock& block,
+                   void (*sink)(void* ctx, const EdgeBlock& block), void* ctx);
 
 }  // namespace gstore::tile

@@ -7,13 +7,15 @@
 // compute kernel runs over flat vid_t arrays with its branches hoisted and
 // its metadata gathers prefetched (EdgeBlock::prefetch_src/prefetch_dst).
 // TileAlgorithm::process_block() is the consumer-side contract; visit_edges()
-// in tile_file.h remains the per-edge fallback and the correctness oracle
-// (tests assert both paths visit identical edge multisets).
+// below remains the per-edge fallback and the correctness oracle for raw and
+// fat tuples (tests assert both paths visit identical edge multisets).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 
 #include "graph/types.h"
 #include "tile/tile_file.h"
@@ -63,27 +65,24 @@ struct EdgeBlock {
 // for each, in storage order. Handles every tile representation — fat
 // tuples, raw SNB, and the v3 codecs — so callers stay format-agnostic
 // exactly as with visit_edges(). The representation branch is taken once per
-// tile, hoisted out of the block loop; encoded tiles stream through
-// TileDecoder straight into the SoA arrays (global ids fused in) with no
-// intermediate SnbEdge materialization.
+// tile, hoisted out of the block loop; encoded tiles go through
+// decode_blocks() (compress.h), which writes whole rows straight into the SoA
+// arrays (global ids fused in) and pushes each filled block to fn, with no
+// intermediate SnbEdge materialization. Raw and fat blocks hold kMaxEdges
+// edges (the last one fewer); encoded blocks may end short at a row boundary.
 template <typename Fn>
 inline void for_each_block(const TileView& v, Fn&& fn) {
   EdgeBlock b;
   b.view = &v;
-  const std::size_t n = v.edge_count();
   if (!v.fat && v.codec != TileCodec::kRaw) {
-    TileDecoder dec(v.codec_info());
-    std::size_t pos = 0;
-    std::size_t got;
-    while ((got = dec.decode(b.src, b.dst, EdgeBlock::kMaxEdges, v.src_base,
-                             v.dst_base)) > 0) {
-      b.first = pos;
-      b.size = static_cast<std::uint32_t>(got);
-      fn(static_cast<const EdgeBlock&>(b));
-      pos += got;
-    }
+    using F = std::remove_reference_t<Fn>;
+    decode_blocks(
+        v.codec_info(), v.src_base, v.dst_base, b,
+        [](void* f, const EdgeBlock& blk) { (*static_cast<F*>(f))(blk); },
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
     return;
   }
+  const std::size_t n = v.edge_count();
   for (std::size_t pos = 0; pos < n; pos += EdgeBlock::kMaxEdges) {
     const std::size_t len = std::min(EdgeBlock::kMaxEdges, n - pos);
     if (v.fat) {
@@ -105,6 +104,25 @@ inline void for_each_block(const TileView& v, Fn&& fn) {
     b.first = pos;
     b.size = static_cast<std::uint32_t>(len);
     fn(static_cast<const EdgeBlock&>(b));
+  }
+}
+
+// Invokes fn(src_vid, dst_vid) for every edge of the tile, whichever
+// representation it is stored in. The per-edge fallback and, for raw and fat
+// tuples, the correctness oracle; hot loops use for_each_block() instead.
+// Encoded tiles decode through for_each_block (decompress_tile is their
+// independent oracle).
+template <typename Fn>
+inline void visit_edges(const TileView& v, Fn&& fn) {
+  if (v.fat) {
+    for (const graph::Edge& e : v.fat_edges) fn(e.src, e.dst);
+  } else if (v.codec == TileCodec::kRaw) {
+    for (const SnbEdge& e : v.edges)
+      fn(v.src_base + e.src16, v.dst_base + e.dst16);
+  } else {
+    for_each_block(v, [&](const EdgeBlock& b) {
+      for (std::uint32_t k = 0; k < b.size; ++k) fn(b.src[k], b.dst[k]);
+    });
   }
 }
 

@@ -308,20 +308,9 @@ TileView TileStore::view(std::uint64_t layout_idx, const std::uint8_t* data) con
   } else if (n > 0) {
     // v3: parse + sanitize the payload's codec header once per tile; raw
     // bodies alias the buffer directly (the v1/v2 zero-copy path), encoded
-    // bodies hand the sanitized info to TileDecoder/for_each_block.
+    // bodies keep the sanitized info for for_each_block's decode_blocks.
     const std::span<const std::uint8_t> payload(data, tile_bytes(layout_idx));
-    const TileCodecInfo info =
-        parse_tile_payload(payload, static_cast<std::int64_t>(n));
-    if (info.codec == TileCodec::kRaw) {
-      v.edges = std::span<const SnbEdge>(
-          reinterpret_cast<const SnbEdge*>(info.body.data()), n);
-    } else {
-      v.codec = info.codec;
-      v.src_bits = static_cast<std::uint8_t>(info.src_bits);
-      v.dst_bits = static_cast<std::uint8_t>(info.dst_bits);
-      v.coded_edges = n;
-      v.payload = info.body;
-    }
+    v.set_payload(parse_tile_payload(payload, static_cast<std::int64_t>(n)));
   }
   return v;
 }

@@ -74,7 +74,7 @@ static_assert(sizeof(TileStoreMeta) == 80);
 // carries full-vid tuples in `fat_edges`; v3 stores with a non-raw codec
 // carry the encoded body in `payload` (header already parsed and sanitized
 // by TileStore::view()). Exactly one representation is populated — iterate
-// with visit_edges()/for_each_block() to stay format-agnostic.
+// with visit_edges()/for_each_block() (edge_block.h) to stay format-agnostic.
 struct TileView {
   TileCoord coord;
   graph::vid_t src_base = 0;
@@ -98,6 +98,22 @@ struct TileView {
   TileCodecInfo codec_info() const noexcept {
     return TileCodecInfo{codec, src_bits, dst_bits, coded_edges, payload};
   }
+
+  // The inverse: points the view at a payload parse_tile_payload() accepted.
+  // A raw body aliases as SNB tuples; an encoded body is kept for decoding.
+  void set_payload(const TileCodecInfo& info) noexcept {
+    if (info.codec == TileCodec::kRaw) {
+      edges = std::span<const SnbEdge>(
+          reinterpret_cast<const SnbEdge*>(info.body.data()),
+          static_cast<std::size_t>(info.edge_count));
+      return;
+    }
+    codec = info.codec;
+    src_bits = static_cast<std::uint8_t>(info.src_bits);
+    dst_bits = static_cast<std::uint8_t>(info.dst_bits);
+    coded_edges = info.edge_count;
+    payload = info.body;
+  }
 };
 
 // Rebuilds `v` as a raw in-memory view over `extra` (the overlay-splice
@@ -114,25 +130,6 @@ inline TileView splice_view(const TileView& v, std::span<const SnbEdge> extra) {
   ov.payload = {};
   ov.edges = extra;
   return ov;
-}
-
-// Invokes fn(src_vid, dst_vid) for every edge of the tile, whichever
-// representation it is stored in. The per-edge fallback and correctness
-// oracle; hot loops use for_each_block() (edge_block.h) instead.
-template <typename Fn>
-inline void visit_edges(const TileView& v, Fn&& fn) {
-  if (v.fat) {
-    for (const graph::Edge& e : v.fat_edges) fn(e.src, e.dst);
-  } else if (v.codec == TileCodec::kRaw) {
-    for (const SnbEdge& e : v.edges)
-      fn(v.src_base + e.src16, v.dst_base + e.dst16);
-  } else {
-    TileDecoder dec(v.codec_info());
-    graph::vid_t s[256], d[256];
-    std::size_t got;
-    while ((got = dec.decode(s, d, 256, v.src_base, v.dst_base)) > 0)
-      for (std::size_t k = 0; k < got; ++k) fn(s[k], d[k]);
-  }
 }
 
 // Read-side handle over a converted graph. Thread-compatible: concurrent

@@ -8,6 +8,7 @@
 #include "graph/degree.h"
 #include "ingest/wal.h"
 #include "io/file.h"
+#include "tile/edge_block.h"
 #include "tile/tile_file.h"
 #include "util/status.h"
 
@@ -47,7 +48,8 @@ VerifyReport verify_store(const std::string& base_path,
     // v3 payload cross-check with the independent decoder: codec byte and
     // width header valid, declared count == .sei count, body decodes to
     // exactly that many edges, every local id inside the tile width. The
-    // streaming path (visit_edges below) is then compared edge-for-edge.
+    // block path (visit_edges below, through decode_blocks) is then compared
+    // edge-for-edge.
     std::vector<SnbEdge> oracle;
     if (store.packed_payloads()) {
       try {

@@ -36,8 +36,8 @@ struct VerifyReport {
 //  * v3 stores: every tile payload's codec byte and width header are valid,
 //    the declared edge count matches the .sei index and the body actually
 //    decodes to that many edges with per-codec local ids inside the tile
-//    width, and the streaming (TileDecoder) and oracle (decompress_tile)
-//    decoders agree edge-for-edge;
+//    width, and the block decoder (decode_blocks, via visit_edges) and the
+//    oracle (decompress_tile) agree edge-for-edge;
 //  * symmetric stores hold only upper-triangle tuples;
 //  * counting symmetry: tuple-derived degree sums add up to the header's
 //    edge count (2× for upper-triangle stores, where each tuple stands for

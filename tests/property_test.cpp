@@ -156,58 +156,89 @@ TEST(PropertyEdgeBlock, BlockAndPerEdgeVisitIdenticalMultisets) {
   }
 }
 
+// Kron-like tile rows: 1-5 edges per source, about half of them single-edge,
+// with scattered dsts, so kHybrid packs nearly every row at the tile's full
+// width. Once the tile passes 512 edges, the row starting at edge 508 holds 5
+// edges and so crosses the first 512-edge block. The last row is short, so
+// it starts within 8 bytes of the body end, where the 8-byte short-row
+// window does not fit.
+std::vector<tile::SnbEdge> kron_rows(Xoshiro256& rng, unsigned tb) {
+  const std::uint32_t width = 1u << tb;
+  const std::uint32_t rows = std::min<std::uint32_t>(width, 400);
+  const std::uint32_t stride = width / rows;
+  std::vector<tile::SnbEdge> edges;
+  for (std::uint32_t r = 0; r < rows; ++r) {
+    std::size_t len = rng.next_below(2) == 0 ? 1 : 2 + rng.next_below(4);
+    if (edges.size() < 508 && edges.size() + len > 508)
+      len = 508 - edges.size();
+    if (edges.size() == 508) len = 5;
+    if (r + 1 == rows) len = 1 + rng.next_below(2);
+    const auto src =
+        static_cast<std::uint16_t>(r * stride + rng.next_below(stride));
+    std::set<std::uint16_t> dsts;
+    if (r == 0) dsts.insert(static_cast<std::uint16_t>(width - 1));
+    while (dsts.size() < len)
+      dsts.insert(static_cast<std::uint16_t>(rng.next_below(width)));
+    for (const std::uint16_t d : dsts) edges.push_back({src, d});
+  }
+  return edges;
+}
+
 // Every codec — forced, not just whatever compress_tile picked — must push
 // the same edge multiset through the block path, the per-edge path, and an
-// overlay splice, at every tile width the grid supports.
+// overlay splice, at every tile width the grid supports, for two shapes:
+// uniform scatter and Kron-like short rows.
 TEST(PropertyEdgeBlock, EveryCodecMatchesRawBlocksAcrossTileBits) {
   Xoshiro256 rng(2026);
+  Xoshiro256 kron_rng(2027);
   for (unsigned tb = 4; tb <= 16; ++tb) {
     const std::uint64_t width = std::uint64_t{1} << tb;
-    std::vector<tile::SnbEdge> edges(1 + rng.next_below(700));
-    for (auto& e : edges) {
+    std::vector<tile::SnbEdge> scatter(1 + rng.next_below(700));
+    for (auto& e : scatter) {
       e.src16 = static_cast<std::uint16_t>(rng.next_below(width));
       e.dst16 = static_cast<std::uint16_t>(rng.next_below(width));
     }
-    std::sort(edges.begin(), edges.end());
-    const vid_t src_base = static_cast<vid_t>(width * (1 + tb % 3));
-    const vid_t dst_base = static_cast<vid_t>(width * (2 + tb % 5));
-    EdgeMultiset want;
-    for (const auto& e : edges)
-      want.insert({src_base + e.src16, dst_base + e.dst16});
-    std::vector<tile::SnbEdge> extra(edges.begin(),
-                                     edges.begin() + edges.size() / 2);
-    EdgeMultiset overlay_want;
-    for (const auto& e : extra)
-      overlay_want.insert({src_base + e.src16, dst_base + e.dst16});
+    const std::vector<tile::SnbEdge> kron = kron_rows(kron_rng, tb);
+    if (tb >= 9) {  // the planted 5-edge row spans edges 508..512
+      ASSERT_GT(kron.size(), 512u) << "tile_bits " << tb;
+      ASSERT_NE(kron[507].src16, kron[508].src16) << "tile_bits " << tb;
+      ASSERT_EQ(kron[508].src16, kron[512].src16) << "tile_bits " << tb;
+    }
+    for (std::vector<tile::SnbEdge> edges : {scatter, kron}) {
+      std::sort(edges.begin(), edges.end());
+      const vid_t src_base = static_cast<vid_t>(width * (1 + tb % 3));
+      const vid_t dst_base = static_cast<vid_t>(width * (2 + tb % 5));
+      EdgeMultiset want;
+      for (const auto& e : edges)
+        want.insert({src_base + e.src16, dst_base + e.dst16});
+      std::vector<tile::SnbEdge> extra(edges.begin(),
+                                       edges.begin() + edges.size() / 2);
+      EdgeMultiset overlay_want;
+      for (const auto& e : extra)
+        overlay_want.insert({src_base + e.src16, dst_base + e.dst16});
 
-    for (unsigned c = 0; c < tile::kTileCodecCount; ++c) {
-      const auto codec = static_cast<tile::TileCodec>(c);
-      const auto payload = tile::encode_tile_as(codec, edges);
-      const tile::TileCodecInfo info = tile::parse_tile_payload(payload);
-      ASSERT_EQ(info.codec, codec);
-      ASSERT_EQ(info.edge_count, edges.size());
+      for (unsigned c = 0; c < tile::kTileCodecCount; ++c) {
+        const auto codec = static_cast<tile::TileCodec>(c);
+        const auto payload = tile::encode_tile_as(codec, edges);
+        const tile::TileCodecInfo info = tile::parse_tile_payload(payload);
+        ASSERT_EQ(info.codec, codec);
+        ASSERT_EQ(info.edge_count, edges.size());
 
-      tile::TileView v;
-      v.src_base = src_base;
-      v.dst_base = dst_base;
-      v.codec = info.codec;
-      v.src_bits = static_cast<std::uint8_t>(info.src_bits);
-      v.dst_bits = static_cast<std::uint8_t>(info.dst_bits);
-      v.coded_edges = info.edge_count;
-      v.payload = info.body;
-      if (info.codec == tile::TileCodec::kRaw)
-        v.edges = std::span<const tile::SnbEdge>(
-            reinterpret_cast<const tile::SnbEdge*>(info.body.data()),
-            static_cast<std::size_t>(info.edge_count));
+        tile::TileView v;
+        v.src_base = src_base;
+        v.dst_base = dst_base;
+        v.set_payload(info);
 
-      ASSERT_EQ(block_multiset(v), want)
-          << "codec " << c << " tile_bits " << tb;
-      ASSERT_EQ(per_edge_multiset(v), want)
-          << "codec " << c << " tile_bits " << tb;
-      if (!extra.empty()) {
-        const tile::TileView ov = tile::splice_view(v, extra);
-        ASSERT_EQ(block_multiset(ov), overlay_want)
-            << "overlay codec " << c << " tile_bits " << tb;
+        ASSERT_EQ(block_multiset(v), want) << "codec " << c << " tile_bits "
+                                           << tb << " edges " << edges.size();
+        ASSERT_EQ(per_edge_multiset(v), want) << "codec " << c << " tile_bits "
+                                              << tb << " edges "
+                                              << edges.size();
+        if (!extra.empty()) {
+          const tile::TileView ov = tile::splice_view(v, extra);
+          ASSERT_EQ(block_multiset(ov), overlay_want)
+              << "overlay codec " << c << " tile_bits " << tb;
+        }
       }
     }
   }

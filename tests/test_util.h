@@ -9,6 +9,7 @@
 #include "graph/edge_list.h"
 #include "io/file.h"
 #include "tile/convert.h"
+#include "tile/edge_block.h"
 #include "tile/tile_file.h"
 
 namespace gstore::testing {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "graph/generator.h"
 #include "test_util.h"
 #include "tile/compress.h"
 #include "tile/convert.h"
+#include "tile/edge_block.h"
 #include "tile/grid.h"
 #include "tile/grouping.h"
 #include "tile/snb.h"
@@ -426,6 +430,53 @@ TEST(Compress, RejectsGarbage) {
   std::vector<std::uint8_t> junk{42, 1, 2, 3};
   EXPECT_THROW(decompress_tile(junk), FormatError);
   EXPECT_THROW(decompress_tile({}), FormatError);
+}
+
+// The block decoder keeps every body check of the format: each malformed
+// body below passes the header checks, then the hot path rejects it with
+// its own error, without handing out more edges than declared, and the
+// oracle rejects it too.
+TEST(Compress, BlockDecoderRejectsEachMalformedBody) {
+  const auto payload = [](TileCodec codec, unsigned dst_bits,
+                          std::uint32_t edges, std::vector<std::uint8_t> body) {
+    TilePayloadHeader h;
+    h.codec = static_cast<std::uint8_t>(codec);
+    h.dst_bits = static_cast<std::uint8_t>(dst_bits);
+    h.edge_count = edges;
+    std::vector<std::uint8_t> out(sizeof(h) + (body.size() + 3) / 4 * 4, 0);
+    std::memcpy(out.data(), &h, sizeof(h));
+    std::copy(body.begin(), body.end(), out.begin() + sizeof(h));
+    return out;
+  };
+  constexpr TileCodec kHy = TileCodec::kHybrid;
+  constexpr TileCodec kRu = TileCodec::kRuns;
+  const std::pair<const char*, std::vector<std::uint8_t>> cases[] = {
+      {"truncated varint", payload(kHy, 8, 1, {0x00, 0x80, 0x80, 0x80})},
+      {"varint overflow", payload(kHy, 8, 1, {0, 255, 255, 255, 255, 255})},
+      {"empty row in hybrid", payload(kHy, 8, 1, {0x00, 0x00})},
+      {"more edges than declared", payload(kHy, 8, 1, {0x00, 0x05, 1, 2})},
+      {"run overflows", payload(kHy, 8, 2, {0x00, 0x04, 0x00, 0x02})},
+      {"truncated bit-packed", payload(kHy, 8, 3, {0x00, 0x07, 1, 2})},
+      {"trailing bytes", payload(kHy, 8, 1, {0x00, 0x03, 7, 0, 0, 0, 0, 0})},
+      {"nonzero tile payload padding", payload(kHy, 8, 1, {0x00, 0x03, 7, 1})},
+      {"empty row in runs", payload(kRu, 0, 1, {0x00, 0x00})},
+      {"more edges than declared", payload(kRu, 0, 1, {0, 0x01, 0, 0x01})},
+  };
+  for (const auto& [want, bytes] : cases) {
+    const TileCodecInfo info = parse_tile_payload(bytes);
+    TileView v;
+    v.set_payload(info);
+    std::size_t handed = 0;
+    try {
+      for_each_block(v, [&](const EdgeBlock& b) { handed += b.size; });
+      ADD_FAILURE() << "accepted a body with " << want;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << "want " << want << ", got " << e.what();
+    }
+    EXPECT_LE(handed, info.edge_count) << want;
+    EXPECT_THROW(decompress_tile(bytes), FormatError) << want;
+  }
 }
 
 }  // namespace
