@@ -3,17 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <exception>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "store/cache_pool.h"
-#include "store/chunking.h"
-#include "store/memory_budget.h"
-#include "store/segment.h"
-#include "tile/overlay.h"
+#include "store/round_executor.h"
 #include "util/dcheck.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -24,9 +18,7 @@ namespace gstore::serve {
 namespace {
 
 using store::CachePool;
-using store::Chunk;
 using store::Segment;
-using store::TileSlot;
 
 // Subscriber set: bit k = gang slot k wants this tile. Bounded by
 // SharedScheduler::kMaxGang == 64.
@@ -40,40 +32,55 @@ void for_bits(Mask m, Fn&& fn) {
   }
 }
 
-// Tags encode which segment a read belongs to so completions can be
-// attributed while both segments have I/O in flight (same scheme as
-// ScrEngine).
-constexpr std::uint64_t make_tag(int segment, std::uint64_t serial) {
-  GSTORE_DCHECK(segment == 0 || segment == 1);
-  GSTORE_DCHECK_LT(serial, 1ull << 56);
-  return (static_cast<std::uint64_t>(segment) << 56) | serial;
+std::uint64_t subscribers(Mask m) {
+  return static_cast<std::uint64_t>(std::popcount(m));
 }
-constexpr int tag_segment(std::uint64_t tag) {
-  return static_cast<int>(tag >> 56);
+
+// A gang runs the scheduler's three knobs over ScrEngine's defaults for
+// everything else: selective fetch, overlapped I/O, the whole-tile retry
+// budget and the iteration cap.
+store::EngineConfig engine_config(const SchedulerConfig& sc) {
+  store::EngineConfig c;
+  c.stream_memory_bytes = sc.stream_memory_bytes;
+  c.segment_bytes = sc.segment_bytes;
+  c.rewind = sc.rewind;
+  return c;
 }
 
 }  // namespace
 
 struct SharedScheduler::Runner {
-  Runner(StoreSnapshot& snapshot, const SchedulerConfig& config,
+  Runner(StoreSnapshot& snapshot, const SchedulerConfig& sc,
          const AdmitFn& admit, const DoneFn& done)
       : store(snapshot.store()),
         grid(store.grid()),
-        config(config),
+        config(engine_config(sc)),
         admit(admit),
         done(done),
-        budget(store::MemoryBudget::compute(config.stream_memory_bytes,
-                                            config.segment_bytes)),
-        pool(budget.pool_bytes),
-        overlay(store.overlay()) {
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(budget.segment_bytes, store.max_tile_bytes());
-    segments[0] = Segment(cap);
-    segments[1] = Segment(cap);
-    // The snapshot's overlay is a frozen copy — its tile list is stable for
-    // the whole gang.
-    if (overlay != nullptr) overlay_tiles = overlay->nonempty_tiles();
+        overlay(store.overlay()),
+        exec(store, config, hooks()),
+        pool(exec.pool()),
+        stats(exec.stats()),
+        masks(grid.tile_count(), 0) {
     slots.resize(kMaxGang);
+  }
+
+  // The pass's hooks for a gang: a tile costs its edges once per
+  // subscriber, is processed by every subscribed job, and CACHE admits
+  // under per-job quotas.
+  store::RoundHooks hooks() {
+    return store::RoundHooks{
+        [this](std::uint64_t idx) {
+          return (store.tile_edge_count(idx) + overlay_count(idx)) *
+                 subscribers(masks[idx]);
+        },
+        [this](std::uint64_t idx, std::span<const tile::TileView> views) {
+          for_bits(masks[idx], [&](std::size_t k) {
+            for (const tile::TileView& v : views)
+              slots[k].job.algo->process_tile(v);
+          });
+        },
+        [this](CachePool& p, const Segment& seg) { admit_segment(p, seg); }};
   }
 
   // ---- gang membership ---------------------------------------------------
@@ -83,7 +90,6 @@ struct SharedScheduler::Runner {
     JobStats stats;
     Timer timer;
     std::uint32_t iter = 0;
-    bool in_use = false;
   };
 
   std::size_t active_count() const noexcept {
@@ -97,7 +103,6 @@ struct SharedScheduler::Runner {
     s = Slot{};
     s.job = std::move(job);
     s.job.algo->init(store);
-    s.in_use = true;
     occupied |= Mask{1} << free_bit;
   }
 
@@ -105,14 +110,12 @@ struct SharedScheduler::Runner {
     Slot& s = slots[k];
     s.stats.seconds = s.timer.seconds();
     occupied &= ~(Mask{1} << k);
-    s.in_use = false;
     if (done) done(s.job, state, s.stats, error);
   }
 
   // ---- per-tile oracles over the gang ------------------------------------
 
   Mask needed_mask(std::uint64_t layout_idx) const {
-    if (!config.selective_fetch) return occupied;
     const tile::TileCoord c = grid.coord_at(layout_idx);
     Mask m = 0;
     for_bits(occupied, [&](std::size_t k) {
@@ -134,232 +137,21 @@ struct SharedScheduler::Runner {
     return overlay == nullptr ? 0 : overlay->tile_edges(layout_idx).size();
   }
 
-  // Delivers one tile's payload to every subscribed job, splicing the
-  // frozen overlay in as a second view (same contract as ScrEngine).
-  void dispatch(std::uint64_t layout_idx, const std::uint8_t* data,
-                Mask mask) {
-    const tile::TileView v = store.view(layout_idx, data);
-    std::span<const tile::SnbEdge> extra;
-    if (overlay != nullptr) extra = overlay->tile_edges(layout_idx);
-    // splice_view resets the representation to raw in-memory SNB tuples —
-    // overlays exist only for SNB stores, whatever codec the base tile used.
-    const tile::TileView ov =
-        extra.empty() ? v : tile::splice_view(v, extra);
-    for_bits(mask, [&](std::size_t k) {
-      store::TileAlgorithm& algo = *slots[k].job.algo;
-      algo.process_tile(v);
-      if (!extra.empty()) algo.process_tile(ov);
-    });
-  }
+  // ---- shared-cache admission --------------------------------------------
 
-  // An exception cannot unwind through an OpenMP region (the runtime would
-  // terminate the daemon), and since v3 the decode inside dispatch can throw
-  // FormatError on a corrupt payload — as can a job's kernel. Workers capture
-  // the first exception here; the scheduler thread rethrows after the region
-  // joins, and run()'s gang-level catch downs the jobs while the daemon
-  // survives.
-  std::exception_ptr scan_error;
-
-  void dispatch_captured(std::uint64_t layout_idx, const std::uint8_t* data,
-                         Mask mask) noexcept {
-    try {
-      dispatch(layout_idx, data, mask);
-    } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical(gstore_serve_scan_error)
-#endif
-      if (scan_error == nullptr) scan_error = std::current_exception();
-    }
-  }
-
-  void rethrow_scan_error() {
-    if (scan_error == nullptr) return;
-    std::exception_ptr e = std::exchange(scan_error, nullptr);
-    std::rethrow_exception(e);
-  }
-
-  // Sequentially folds one dispatched batch into per-job and gang counters
-  // (kernel fan-out is parallel; bookkeeping is not).
-  void account_dispatches(const std::vector<std::uint64_t>& indices,
-                          const std::vector<Mask>& masks) {
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      const std::uint64_t base = store.tile_edge_count(indices[k]);
-      const std::uint64_t extra = overlay_count(indices[k]);
-      for_bits(masks[k], [&](std::size_t j) {
-        Slot& s = slots[j];
-        s.stats.edges_processed += base + extra;
-        s.stats.overlay_edges += extra;
-        ++s.stats.tiles_dispatched;
-      });
-      gang.tile_dispatches +=
-          static_cast<std::uint64_t>(std::popcount(masks[k]));
-    }
-  }
-
-  // ---- I/O (double-buffered slide, shared with every subscriber) ---------
-
-  std::size_t fill_and_submit(int s, const std::vector<std::uint64_t>& fetch,
-                              const std::vector<Mask>& fetch_masks,
-                              std::size_t& pos) {
-    Segment& seg = segments[s];
-    seg_masks[s].clear();
-    if (pos >= fetch.size()) {
-      seg.clear();
-      return 0;
-    }
-    seg.begin_fill();
-    seg.ensure_capacity(store.tile_bytes(fetch[pos]));
-    while (pos < fetch.size() &&
-           seg.try_add(fetch[pos], store.tile_bytes(fetch[pos]))) {
-      seg_masks[s].push_back(fetch_masks[pos]);
-      ++pos;
-    }
-
-    // Coalesce layout-consecutive runs into single requests — contiguous in
-    // file and buffer alike (segment packing invariant).
-    std::vector<io::ReadRequest> batch;
-    const auto& sl = seg.slots();
-    std::size_t run_begin = 0;
-    auto flush_run = [&](std::size_t run_end) {
-      const TileSlot& first = sl[run_begin];
-      const TileSlot& last = sl[run_end - 1];
-      io::ReadRequest req;
-      req.offset = store.tile_offset(first.layout_idx);
-      req.length =
-          static_cast<std::size_t>(last.offset + last.bytes - first.offset);
-      req.buffer = seg.slot_data(first);
-      req.tag = make_tag(s, next_serial++);
-      batch.push_back(req);
-      run_begin = run_end;
-    };
-    for (std::size_t k = 1; k < sl.size(); ++k) {
-      GSTORE_DCHECK_EQ(sl[k].offset, sl[k - 1].offset + sl[k - 1].bytes);
-      if (sl[k].layout_idx != sl[k - 1].layout_idx + 1) flush_run(k);
-    }
-    if (!sl.empty()) flush_run(sl.size());
-
-    gang.tiles_fetched += sl.size();
-    if (batch.empty()) return 0;
-    ++gang.io_batches;
-    if (config.overlap_io) {
-      const std::size_t n_requests = batch.size();
-      for (const auto& req : batch)
-        inflight.emplace(req.tag, InFlightRead{req, 0});
-      store.device().submit(std::move(batch));
-      return n_requests;
-    }
-    Timer t;
-    for (const auto& req : batch)
-      store.device().read(req.buffer, req.length, req.offset);
-    gang.io_wait_seconds += t.seconds();
-    return 0;
-  }
-
-  void wait_segment(int s) {
-    Timer t;
-    while (pending[s] > 0) {
-      completions_scratch.clear();
-      store.device().poll(1, 64, completions_scratch);
-      for (const io::Completion& c : completions_scratch)
-        handle_completion(c);
-    }
-    gang.io_wait_seconds += t.seconds();
-    if (!read_failures.empty()) fail_round();
-  }
-
-  void handle_completion(const io::Completion& c) {
-    const int seg = tag_segment(c.tag);
-    GSTORE_DCHECK(seg == 0 || seg == 1);
-    GSTORE_DCHECK_GT(pending[seg], 0);
-    --pending[seg];
-    const auto it = inflight.find(c.tag);
-    GSTORE_DCHECK(it != inflight.end());
-    if (it == inflight.end()) return;
-    InFlightRead& r = it->second;
-    if (c.ok && c.bytes == r.req.length) {
-      inflight.erase(it);
-      return;
-    }
-    if (r.attempts < config.read_retry_budget) {
-      ++r.attempts;
-      ++gang.tile_resubmits;
-      std::vector<io::ReadRequest> one{r.req};
-      store.device().submit(std::move(one));
-      ++pending[seg];
-      return;
-    }
-    const std::string why =
-        !c.ok ? (c.message.empty() ? "read failed" : c.message)
-              : ("truncated read: " + std::to_string(c.bytes) + "/" +
-                 std::to_string(r.req.length) + " bytes");
-    read_failures.push_back("tile read at offset " +
-                            std::to_string(r.req.offset) + " (tag " +
-                            std::to_string(c.tag) + "): " + why);
-    inflight.erase(it);
-  }
-
-  [[noreturn]] void fail_round() {
-    quiesce_all();
-    std::string msg = "gang round aborted: " +
-                      std::to_string(read_failures.size()) +
-                      " tile read(s) failed past the retry budget";
-    for (const auto& f : read_failures) msg += "; " + f;
-    read_failures.clear();
-    throw IoError(msg, EIO);
-  }
-
-  // Unwind-path barrier: waits out every in-flight read for both segments
-  // without throwing, then resets the double-buffer bookkeeping. No
-  // exception may unwind while I/O workers can write into segment buffers.
-  void quiesce_all() noexcept {
-    store.device().quiesce();
-    pending[0] = pending[1] = 0;
-    inflight.clear();
-  }
-
-  // ---- compute + shared-cache admission ----------------------------------
-
-  void process_segment(int s) {
-    Segment& seg = segments[s];
-    const auto& sl = seg.slots();
-    const std::vector<Mask>& masks = seg_masks[s];
-    GSTORE_DCHECK_EQ(sl.size(), masks.size());
-    Timer t;
-    slot_costs.clear();
-    slot_costs.reserve(sl.size());
-    for (std::size_t k = 0; k < sl.size(); ++k)
-      slot_costs.push_back(
-          (store.tile_edge_count(sl[k].layout_idx) +
-           overlay_count(sl[k].layout_idx)) *
-          static_cast<std::uint64_t>(std::popcount(masks[k])));
-    cost_chunks(slot_costs, chunks);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k)
-        dispatch_captured(sl[k].layout_idx, seg.slot_data(sl[k]), masks[k]);
-    }
-    rethrow_scan_error();  // before pinning possibly-corrupt tiles below
-    gang.compute_seconds += t.seconds();
-    scratch_indices.clear();
-    for (const auto& slot : sl) scratch_indices.push_back(slot.layout_idx);
-    account_dispatches(scratch_indices, masks);
-
-    // CACHE: shared-pool admission under per-job quotas. Each admitted tile
-    // pins a zero-copy slice of the segment buffer; its cost is split
-    // evenly across next-round subscribers, and it enters only while some
-    // subscriber is still under budget/active_jobs — the fairness rule that
-    // keeps one full-graph job from squeezing everyone else out.
-    if (pool.budget() == 0) return;
+  // CACHE: shared-pool admission under per-job quotas. Each admitted tile
+  // pins a zero-copy slice of the segment buffer; its cost is split evenly
+  // across next-round subscribers, and it enters only while some subscriber
+  // is still under budget/active_jobs — the fairness rule that keeps one
+  // full-graph job from squeezing everyone else out.
+  void admit_segment(CachePool& p, const Segment& seg) {
     const std::uint64_t quota =
-        pool.budget() / std::max<std::uint64_t>(active_count(), 1);
-    for (const auto& slot : sl) {
+        p.budget() / std::max<std::uint64_t>(active_count(), 1);
+    for (const auto& slot : seg.slots()) {
       const Mask nm = useful_next_mask(slot.layout_idx);
       if (nm == 0) continue;
-      if (slot.bytes > pool.free_bytes()) continue;  // no forced eviction
-      const auto subs = static_cast<std::uint64_t>(std::popcount(nm));
-      const std::uint64_t charge = slot.bytes / subs;
+      if (slot.bytes > p.free_bytes()) continue;  // no forced eviction
+      const std::uint64_t charge = slot.bytes / subscribers(nm);
       // Admit while any subscriber still has quota headroom *before* the
       // charge lands. Requiring the full charge to fit under the quota
       // (charged[j] + charge <= quota) starved hot tiles whose split charge
@@ -372,10 +164,8 @@ struct SharedScheduler::Runner {
         if (charged[j] < quota) under_quota = true;
       });
       if (!under_quota) continue;
-      if (!pool.insert_pinned(slot.layout_idx, seg.pin_slot(slot),
-                              slot.bytes))
+      if (!p.insert_pinned(slot.layout_idx, seg.pin_slot(slot), slot.bytes))
         continue;
-      cache_info[slot.layout_idx] = CachedTile{slot.bytes, nm};
       for_bits(nm, [&](std::size_t j) { charged[j] += charge; });
     }
   }
@@ -383,170 +173,60 @@ struct SharedScheduler::Runner {
   // Round-boundary cache analysis: recompute every cached tile's
   // subscriber set for the upcoming round, evict the orphans, and rebuild
   // the per-job charge table (jobs that finished stop being charged; tiles
-  // that gained subscribers get cheaper for everyone).
+  // that gained subscribers get cheaper for everyone). With rewind off the
+  // executor empties the pool before the next round, so nothing stays
+  // charged.
   void analyze_cache() {
-    if (pool.budget() == 0) return;
-    scratch_indices.clear();
-    for (auto& [idx, info] : cache_info) {
-      const Mask nm = useful_next_mask(idx);
-      if (nm == 0) {
-        scratch_indices.push_back(idx);
-      } else {
-        info.mask = nm;
-      }
-    }
-    for (const std::uint64_t idx : scratch_indices) {
-      pool.erase(idx);
-      cache_info.erase(idx);
-    }
     charged.fill(0);
-    for (const auto& [idx, info] : cache_info) {
-      const auto subs = static_cast<std::uint64_t>(std::popcount(info.mask));
-      const std::uint64_t charge = info.bytes / subs;
-      for_bits(info.mask, [&](std::size_t j) { charged[j] += charge; });
-    }
+    if (pool.budget() == 0 || !config.rewind) return;
+    victims.clear();
+    pool.for_each_entry([&](const CachePool::Entry& e) {
+      const Mask nm = useful_next_mask(e.layout_idx);
+      if (nm == 0) {
+        victims.push_back(e.layout_idx);
+        return;
+      }
+      const std::uint64_t charge = e.bytes / subscribers(nm);
+      for_bits(nm, [&](std::size_t j) { charged[j] += charge; });
+    });
+    for (const std::uint64_t idx : victims) pool.erase(idx);
   }
 
   // ---- one gang round ----------------------------------------------------
 
+  // Plans the round: the union of the active jobs' needed tiles, in layout
+  // order, each with its subscriber mask for the hooks.
+  void plan_round() {
+    round_tiles.clear();
+    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
+      const bool has_data =
+          store.tile_bytes(idx) != 0 || overlay_count(idx) != 0;
+      masks[idx] = has_data ? needed_mask(idx) : 0;
+      if (masks[idx] != 0) round_tiles.push_back(idx);
+    }
+  }
+
+  // Books the round's kernel deliveries into each subscriber's JobStats.
+  void account_round() {
+    for (const std::uint64_t idx : round_tiles) {
+      const std::uint64_t extra = overlay_count(idx);
+      const std::uint64_t edges = store.tile_edge_count(idx) + extra;
+      for_bits(masks[idx], [&](std::size_t k) {
+        JobStats& s = slots[k].stats;
+        s.edges_processed += edges;
+        s.overlay_edges += extra;
+        ++s.tiles_dispatched;
+      });
+    }
+  }
+
   void run_round() {
-    for_bits(occupied,
-             [&](std::size_t k) { slots[k].job.algo->begin_iteration(slots[k].iter); });
-
-    // REWIND: dispatch cached tiles to this round's subscribers, no I/O.
-    std::vector<std::uint64_t> cached_indices;
-    if (config.rewind && pool.tile_count() > 0) {
-      Timer t;
-      rewind_entries.clear();
-      pool.for_each_entry(
-          [&](const CachePool::Entry& e) { rewind_entries.push_back(e); });
-      cached_indices.reserve(rewind_entries.size());
-      for (const auto& e : rewind_entries)
-        cached_indices.push_back(e.layout_idx);
-      rewind_masks.clear();
-      for (const auto& e : rewind_entries)
-        rewind_masks.push_back(needed_mask(e.layout_idx));
-      // Unwanted-this-round entries stay cached (and excluded from the
-      // fetch list) but are not dispatched.
-      for (std::size_t k = 0; k < rewind_entries.size();) {
-        if (rewind_masks[k] == 0) {
-          rewind_entries[k] = rewind_entries.back();
-          rewind_entries.pop_back();
-          rewind_masks[k] = rewind_masks.back();
-          rewind_masks.pop_back();
-        } else {
-          ++k;
-        }
-      }
-      slot_costs.clear();
-      slot_costs.reserve(rewind_entries.size());
-      for (std::size_t k = 0; k < rewind_entries.size(); ++k)
-        slot_costs.push_back(
-            (store.tile_edge_count(rewind_entries[k].layout_idx) +
-             overlay_count(rewind_entries[k].layout_idx)) *
-            static_cast<std::uint64_t>(std::popcount(rewind_masks[k])));
-      cost_chunks(slot_costs, chunks);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k)
-          dispatch_captured(rewind_entries[k].layout_idx,
-                            rewind_entries[k].data, rewind_masks[k]);
-      }
-      rethrow_scan_error();
-      gang.compute_seconds += t.seconds();
-      scratch_indices.clear();
-      for (const auto& e : rewind_entries)
-        scratch_indices.push_back(e.layout_idx);
-      account_dispatches(scratch_indices, rewind_masks);
-      for (const auto& e : rewind_entries) {
-        pool.touch(e.layout_idx);
-        gang.tiles_from_cache += static_cast<std::uint64_t>(
-            std::popcount(rewind_masks[&e - rewind_entries.data()]));
-      }
-      std::sort(cached_indices.begin(), cached_indices.end());
-    } else if (!config.rewind) {
-      pool.clear();
-      cache_info.clear();
-      charged.fill(0);
-    }
-
-    // Fetch list: the union of the active jobs' needed tiles, minus what
-    // the cache already served, in layout order.
-    std::vector<std::uint64_t> fetch;
-    std::vector<Mask> fetch_masks;
-    {
-      std::size_t ci = 0;
-      for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-        while (ci < cached_indices.size() && cached_indices[ci] < idx) ++ci;
-        const bool in_cache =
-            ci < cached_indices.size() && cached_indices[ci] == idx;
-        if (in_cache) continue;
-        if (store.tile_bytes(idx) == 0) continue;
-        const Mask m = needed_mask(idx);
-        if (m == 0) {
-          ++gang.tiles_skipped;
-          continue;
-        }
-        fetch.push_back(idx);
-        fetch_masks.push_back(m);
-      }
-    }
-
-    // SLIDE: double-buffered shared stream. Quiesce before any exception
-    // escapes — I/O workers write into buffers this Runner owns.
-    std::size_t pos = 0;
-    int cur = 0;
-    pending[0] = pending[1] = 0;
-    try {
-      pending[cur] = fill_and_submit(cur, fetch, fetch_masks, pos);
-      while (!segments[cur].empty()) {
-        const int nxt = cur ^ 1;
-        GSTORE_DCHECK_EQ(pending[nxt], 0);
-        pending[nxt] = fill_and_submit(nxt, fetch, fetch_masks, pos);
-        wait_segment(cur);
-        process_segment(cur);
-        cur = nxt;
-      }
-    } catch (...) {
-      quiesce_all();
-      throw;
-    }
-    GSTORE_DCHECK_EQ(pos, fetch.size());
-    GSTORE_DCHECK_EQ(pending[0], 0);
-    GSTORE_DCHECK_EQ(pending[1], 0);
-
-    // Overlay tiles with no base bytes never hit the fetch list: no-I/O pass.
-    if (overlay != nullptr) {
-      Timer t;
-      std::vector<std::uint64_t> delta_only;
-      std::vector<Mask> delta_masks;
-      for (const std::uint64_t idx : overlay_tiles) {
-        if (store.tile_bytes(idx) != 0) continue;
-        const Mask m = needed_mask(idx);
-        if (m == 0) continue;
-        delta_only.push_back(idx);
-        delta_masks.push_back(m);
-      }
-      slot_costs.clear();
-      slot_costs.reserve(delta_only.size());
-      for (std::size_t k = 0; k < delta_only.size(); ++k)
-        slot_costs.push_back(
-            overlay_count(delta_only[k]) *
-            static_cast<std::uint64_t>(std::popcount(delta_masks[k])));
-      cost_chunks(slot_costs, chunks);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        for (std::size_t k = chunks[c].begin; k < chunks[c].end; ++k)
-          dispatch_captured(delta_only[k], nullptr, delta_masks[k]);
-      }
-      rethrow_scan_error();
-      gang.compute_seconds += t.seconds();
-      account_dispatches(delta_only, delta_masks);
-    }
+    for_bits(occupied, [&](std::size_t k) {
+      slots[k].job.algo->begin_iteration(slots[k].iter);
+    });
+    plan_round();
+    stats.tiles_skipped += exec.run_round(round_tiles);
+    account_round();
 
     // End the round: every active job decides whether it wants another
     // iteration; finished jobs leave the gang before the cache analysis so
@@ -564,7 +244,7 @@ struct SharedScheduler::Runner {
       }
     });
     analyze_cache();
-    ++gang.rounds;
+    ++stats.rounds;
   }
 
   // Round boundary: reap cancellations, then offer free capacity to the
@@ -583,7 +263,7 @@ struct SharedScheduler::Runner {
     return occupied != 0;
   }
 
-  GangStats run(std::vector<GangJob> initial) {
+  store::EngineStats run(std::vector<GangJob> initial) {
     Timer total;
     store.device().reset_stats();
     GS_CHECK_MSG(initial.size() <= kMaxGang, "gang larger than kMaxGang");
@@ -591,70 +271,41 @@ struct SharedScheduler::Runner {
     try {
       while (boundary()) run_round();
     } catch (const std::exception& e) {
-      // A gang-level failure (I/O past the retry budget) downs every job
-      // still on board; the daemon itself survives.
-      quiesce_all();
+      // A gang-level failure (I/O past the retry budget, a job's kernel
+      // throwing) downs every job still on board; the daemon itself
+      // survives. The executor quiesced the device before the exception
+      // left its pass.
       const std::string why = e.what();
       GS_LOG(Warn) << "gang failed: " << why;
       for_bits(occupied,
                [&](std::size_t k) { finish_slot(k, JobState::kFailed, why); });
     }
-    const io::DeviceStats dev = store.device().stats();
-    gang.bytes_read = dev.bytes_read;
-    gang.retries = dev.retries;
-    gang.short_reads = dev.short_reads;
-    gang.failed_reads = dev.failed_reads;
-    gang.backoff_seconds = dev.backoff_seconds;
-    gang.bytes_copied_to_pool = pool.bytes_copied();
-    gang.segment_refreshes =
-        segments[0].buffer_refreshes() + segments[1].buffer_refreshes();
-    gang.elapsed_seconds = total.seconds();
-    return gang;
+    stats.iterations = static_cast<std::uint32_t>(stats.rounds);
+    return exec.finish(total.seconds());
   }
 
   // ---- state -------------------------------------------------------------
 
   tile::TileStore& store;
   const tile::Grid& grid;
-  const SchedulerConfig& config;
+  const store::EngineConfig config;
   const AdmitFn& admit;
   const DoneFn& done;
-  store::MemoryBudget budget;
-  CachePool pool;
   const tile::TileOverlay* overlay = nullptr;
-  std::vector<std::uint64_t> overlay_tiles;
 
   std::vector<Slot> slots;
   Mask occupied = 0;
 
-  Segment segments[2];
-  std::vector<Mask> seg_masks[2];
-  std::size_t pending[2] = {0, 0};
-  std::uint64_t next_serial = 0;
-  struct InFlightRead {
-    io::ReadRequest req;
-    int attempts = 0;
-  };
-  std::unordered_map<std::uint64_t, InFlightRead> inflight;
-  std::vector<std::string> read_failures;
-  std::vector<io::Completion> completions_scratch;
+  store::RoundExecutor exec;
+  CachePool& pool;
+  store::EngineStats& stats;
+  // The round being run and every tile's subscriber mask (0 outside it).
+  std::vector<std::uint64_t> round_tiles;
+  std::vector<Mask> masks;
 
   // Shared-cache fairness bookkeeping (control thread only).
-  struct CachedTile {
-    std::uint64_t bytes = 0;
-    Mask mask = 0;
-  };
-  std::unordered_map<std::uint64_t, CachedTile> cache_info;
   std::array<std::uint64_t, kMaxGang> charged{};
-
-  // Reused per-phase scratch.
-  std::vector<std::uint64_t> slot_costs;
-  std::vector<Chunk> chunks;
-  std::vector<CachePool::Entry> rewind_entries;
-  std::vector<Mask> rewind_masks;
-  std::vector<std::uint64_t> scratch_indices;
-
-  GangStats gang;
+  std::vector<std::uint64_t> victims;
 };
 
 SharedScheduler::SharedScheduler(StoreSnapshot& snapshot,
@@ -663,8 +314,9 @@ SharedScheduler::SharedScheduler(StoreSnapshot& snapshot,
 
 SharedScheduler::~SharedScheduler() = default;
 
-GangStats SharedScheduler::run(std::vector<GangJob> initial,
-                               const AdmitFn& admit, const DoneFn& done) {
+store::EngineStats SharedScheduler::run(std::vector<GangJob> initial,
+                                        const AdmitFn& admit,
+                                        const DoneFn& done) {
   Runner runner(snapshot_, config_, admit, done);
   return runner.run(std::move(initial));
 }

@@ -1,20 +1,21 @@
 // Multi-tenant SCR scheduler: one tile-fetch stream, many jobs.
 //
-// ScrEngine runs one algorithm per iteration loop; this scheduler
-// generalizes its slide–cache–rewind loop to a *gang* of up to 64 jobs
-// co-scheduled over one StoreSnapshot. Per round (one iteration of every
-// active job):
+// ScrEngine runs one algorithm per iteration loop; this scheduler runs a
+// *gang* of up to 64 jobs co-scheduled over one StoreSnapshot through the
+// same slide–cache–rewind pass (store::RoundExecutor). A gang round — one
+// iteration of every active job — is a round with N subscribers: its tiles
+// are the UNION of the active jobs' needed tiles, each carrying the set of
+// jobs that want it.
 //
-//   REWIND — every tile in the shared cache pool is dispatched to each
-//            active job whose selective-fetch oracle wants it, before any
-//            I/O is issued.
-//   SLIDE  — the fetch list is the UNION of the active jobs' needed tiles;
-//            each tile's bytes are read once through the async engine
-//            (double-buffered, coalesced, with the same whole-tile retry
-//            budget as ScrEngine) and the decoded payload is dispatched to
-//            every subscribed job's kernel before the segment is reused.
-//            This is the shared-I/O dedup: 32 BFS jobs over the same graph
-//            cost ~1× the bytes, not 32×.
+//   REWIND — both segments' first SLIDE reads are submitted, then every
+//            tile in the shared cache pool that some job wants this round
+//            is dispatched to its subscribers while the device streams.
+//   SLIDE  — each remaining tile's bytes are read once through the async
+//            engine (double-buffered, coalesced, with ScrEngine's whole-tile
+//            retry budget) and the decoded payload is dispatched to every
+//            subscribed job's kernel before the segment is reused. This is
+//            the shared-I/O dedup: 32 BFS jobs over the same graph cost ~1×
+//            the bytes, not 32×.
 //   CACHE  — processed tiles are offered to the SHARED cache pool under a
 //            fairness policy: the pool budget is split into per-job quotas
 //            (budget / active jobs) and a tile is admitted only while some
@@ -27,8 +28,10 @@
 // Jobs join at round boundaries (the admit callback), finish independently
 // (their end_iteration() returns false), and are cancelled at round
 // boundaries. Per-job statistics are job-scoped (JobStats); the gang-level
-// I/O counters live in GangStats. Zero-copy is preserved: cached tiles pin
-// segment slices, and bytes_copied_to_pool stays 0.
+// I/O counters are the store::EngineStats the pass fills, where a pooled
+// tile counts once per round however many jobs it served. Zero-copy is
+// preserved: cached tiles pin segment slices, and bytes_copied_to_pool
+// stays 0.
 //
 // Threading: run() is called from ONE control thread (the JobManager's
 // scheduler thread); kernels fan out over OpenMP inside a round exactly
@@ -44,38 +47,17 @@
 #include "serve/job.h"
 #include "serve/snapshot.h"
 #include "store/algorithm.h"
+#include "store/scr_engine.h"
 
 namespace gstore::serve {
 
+// The memory split and the Fig 13 rewind switch. Everything else a gang
+// runs with (selective fetch, overlapped I/O, the whole-tile retry budget,
+// the iteration cap) is store::EngineConfig's default.
 struct SchedulerConfig {
   std::uint64_t stream_memory_bytes = 64ull << 20;
   std::uint64_t segment_bytes = 8ull << 20;
   bool rewind = true;
-  bool selective_fetch = true;
-  bool overlap_io = true;
-  std::uint32_t max_iterations = 100000;
-  int read_retry_budget = 2;
-};
-
-// Gang-level shared-fetch counters (the daemon's dedup observability).
-struct GangStats {
-  std::uint32_t rounds = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t tiles_fetched = 0;     // unique tile payload fetches
-  std::uint64_t tiles_from_cache = 0;  // rewind dispatches served from pool
-  std::uint64_t tiles_skipped = 0;
-  std::uint64_t tile_dispatches = 0;   // job×tile kernel deliveries
-  std::uint64_t io_batches = 0;
-  std::uint64_t tile_resubmits = 0;
-  std::uint64_t bytes_copied_to_pool = 0;  // must stay 0 (zero-copy)
-  std::uint64_t segment_refreshes = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t short_reads = 0;
-  std::uint64_t failed_reads = 0;
-  double backoff_seconds = 0;
-  double io_wait_seconds = 0;
-  double compute_seconds = 0;
-  double elapsed_seconds = 0;
 };
 
 // One job as the scheduler sees it. The algorithm is owned by the caller
@@ -109,11 +91,12 @@ class SharedScheduler {
   SharedScheduler& operator=(const SharedScheduler&) = delete;
 
   // Runs every job (initial + admitted) to completion or cancellation and
-  // returns the gang-level counters. A gang-level I/O failure past the
-  // retry budget fails every job still active (reported through `done`)
-  // and returns — the daemon outlives its jobs' storage faults.
-  GangStats run(std::vector<GangJob> initial, const AdmitFn& admit,
-                const DoneFn& done);
+  // returns the gang-level counters (`rounds`, tiles, bytes, times). A
+  // gang-level failure — I/O past the retry budget, or a job's kernel
+  // throwing — fails every job still active (reported through `done`) and
+  // returns: the daemon outlives its jobs' faults.
+  store::EngineStats run(std::vector<GangJob> initial, const AdmitFn& admit,
+                         const DoneFn& done);
 
  private:
   struct Runner;

@@ -395,8 +395,13 @@ void JobManager::run_gang(std::vector<JobRecord*> batch) {
     return joined;
   };
 
+  // Kernel deliveries, summed from the jobs' own counters and folded into
+  // the aggregate with the gang's tile counters, so dedup_ratio never
+  // mixes a finished gang's numerator with a running gang's denominator.
+  std::uint64_t dispatches = 0;
   const auto done = [&](const GangJob& job, JobState state,
                         const JobStats& stats, const std::string& error) {
+    dispatches += stats.tiles_dispatched;
     JobRecord* rec = nullptr;
     {
       MutexLock lock(mu_);
@@ -428,14 +433,14 @@ void JobManager::run_gang(std::vector<JobRecord*> batch) {
   };
 
   SharedScheduler scheduler(*snap, options_.scheduler);
-  const GangStats gs = scheduler.run(std::move(initial), admit, done);
+  const store::EngineStats gs = scheduler.run(std::move(initial), admit, done);
 
   MutexLock lock(mu_);
   ++aggregate_.gangs;
   aggregate_.bytes_read += gs.bytes_read;
-  aggregate_.tiles_fetched += gs.tiles_fetched;
+  aggregate_.tiles_fetched += gs.tiles_from_disk;
   aggregate_.tiles_from_cache += gs.tiles_from_cache;
-  aggregate_.tile_dispatches += gs.tile_dispatches;
+  aggregate_.tile_dispatches += dispatches;
 }
 
 // ---------------------------------------------------------------------------
@@ -587,14 +592,23 @@ void Server::handle_connection(Conn* conn) {
       buffer.erase(0, nl + 1);
       if (line.empty() || line == "\r") continue;
       Json response;
+      bool stop_after_reply = false;
       try {
-        response = dispatch(Json::parse(line));
+        response = dispatch(Json::parse(line), stop_after_reply);
       } catch (const std::exception& e) {
         response = error_response(e.what());
       }
       std::string out = response.dump();
       out += '\n';
       alive = send_all(conn->fd, out.data(), out.size());
+      // A shutdown wakes wait_shutdown() only once its reply is sent: the
+      // stop() that follows shuts every connection down and would cut an
+      // unsent reply off.
+      if (stop_after_reply) {
+        MutexLock lock(state_mu_);
+        shutdown_requested_ = true;
+        shutdown_cv_.notify_all();
+      }
     }
     if (buffer.size() > kMaxLineBytes) {
       const std::string out =
@@ -607,7 +621,7 @@ void Server::handle_connection(Conn* conn) {
   // fd is left open: reap_finished_locked / stop() closes it after join.
 }
 
-Json Server::dispatch(const Json& request) {
+Json Server::dispatch(const Json& request, bool& stop_after_reply) {
   const std::string& op = request.at("op").as_string();
   if (op == "ping") return ok_response();
   if (op == "submit") {
@@ -679,10 +693,9 @@ Json Server::dispatch(const Json& request) {
     if (const Json* d = request.find("drain")) drain = d->as_bool();
     {
       MutexLock lock(state_mu_);
-      shutdown_requested_ = true;
       shutdown_drain_ = drain;
-      shutdown_cv_.notify_all();
     }
+    stop_after_reply = true;
     return ok_response();
   }
   throw InvalidArgument("unknown op \"" + op + "\"");

@@ -197,7 +197,9 @@ class Server {
 
   void accept_loop();
   void handle_connection(Conn* conn);
-  Json dispatch(const Json& request);
+  // Answers one request. A `shutdown` sets stop_after_reply: the caller
+  // signals it once the reply is sent.
+  Json dispatch(const Json& request, bool& stop_after_reply);
 
   JobManager& manager_;
   const ServeOptions options_;

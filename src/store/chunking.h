@@ -4,8 +4,9 @@
 // equal edge cost. Dynamic scheduling over these chunks replaces
 // schedule(dynamic, 1) over raw slots: on a power-law tile grid the latter
 // is either dispatch overhead (swarms of near-empty tiles) or load imbalance
-// (one hub tile per work item with nothing to pair it against). Shared by
-// the single-job SCR engine and the multi-tenant serve scheduler.
+// (one hub tile per work item with nothing to pair it against). Its one
+// caller is RoundExecutor's scan, which every scheduler's rounds run
+// through; the costs it balances come from the caller's cost hook.
 #pragma once
 
 #include <algorithm>

@@ -1,8 +1,9 @@
 // The SCR (slide–cache–rewind) engine (paper §VI, Figure 8).
 //
-// Each iteration is planned right after begin_iteration() — which needed
-// tiles are cached, which must be fetched, which live only in the overlay —
-// and then runs one pass:
+// Each iteration is planned right after begin_iteration() — the needed
+// tiles, in layout order — and then runs one slide–cache–rewind pass
+// (store::RoundExecutor, round_executor.h, the pass the serve gang runs
+// too):
 //   REWIND — process the tiles already sitting in the cache pool (saved from
 //            the previous iteration). Both segments' first SLIDE reads are
 //            submitted before it starts, so the device streams meanwhile.
@@ -13,6 +14,9 @@
 //            the configured policy, one CachingPolicy::admit call per
 //            segment; proactive analysis evicts tiles the algorithm's
 //            metadata rules out for the next iteration.
+// An exception from the algorithm or the decoder, or a read failing past
+// the retry budget, leaves the pass only after every in-flight read has
+// been drained; run() rethrows it to the caller.
 //
 // ScheduleMode::kPriority replaces the grid-order iteration with bucketed
 // worklist rounds (docs/SCHEDULING.md): each round drains the minimum
@@ -50,9 +54,9 @@ struct EngineConfig {
   bool selective_fetch = true;  // honour algo.tile_needed when fetching
   bool overlap_io = true;       // double-buffer I/O with compute
   std::uint32_t max_iterations = 100000;
-  // Whole-tile retry budget applied by the engine to failed or truncated
-  // tile reads, layered above the async engine's own per-read retries
-  // (io::RetryPolicy). Past the budget the iteration fails with a clean
+  // Whole-tile retry budget applied by the round executor to failed or
+  // truncated tile reads, layered above the async engine's own per-read
+  // retries (io::RetryPolicy). Past the budget the round fails with a clean
   // quiesce: every in-flight read is drained before the exception escapes.
   int read_retry_budget = 2;
 };
@@ -75,10 +79,11 @@ struct IterationStats {
 };
 
 struct EngineStats {
-  // Grid mode: grid sweeps. Priority mode: worklist rounds (same value as
-  // `rounds`), so convergence comparisons read one field in both modes.
+  // Grid mode: grid sweeps. Priority mode and serve gangs: rounds (same
+  // value as `rounds`), so convergence comparisons read one field.
   std::uint32_t iterations = 0;
-  // Worklist rounds executed (0 in grid mode). A round drains one bucket.
+  // Worklist rounds executed (0 in grid mode; a round drains one bucket),
+  // or a serve gang's rounds (one iteration of every active job).
   std::uint64_t rounds = 0;
   // Highest bucket any round drained (0 when rounds == 0).
   std::uint32_t max_bucket = 0;
@@ -88,6 +93,8 @@ struct EngineStats {
   std::uint64_t wasted_fetch_bytes = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t tiles_from_disk = 0;
+  // Pooled tiles a round processed, once per round however many jobs a
+  // serve gang dispatched each one to.
   std::uint64_t tiles_from_cache = 0;
   std::uint64_t tiles_skipped = 0;   // selective fetch: not needed this iter
   std::uint64_t edges_processed = 0;
@@ -109,9 +116,9 @@ struct EngineStats {
   std::uint64_t retries = 0;
   std::uint64_t short_reads = 0;
   std::uint64_t failed_reads = 0;
-  // Whole-tile resubmissions performed by the engine above the async layer
-  // (a tile whose read came back failed or truncated is reissued up to
-  // EngineConfig::read_retry_budget times).
+  // Whole-tile resubmissions performed by the round executor above the
+  // async layer (a tile whose read came back failed or truncated is
+  // reissued up to EngineConfig::read_retry_budget times).
   std::uint64_t tile_resubmits = 0;
   double backoff_seconds = 0;
   double io_wait_seconds = 0;

@@ -281,6 +281,48 @@ TEST(JobManager, SharedFetchDedup32WayBfs) {
       << " bytes vs " << single << " for one";
 }
 
+// dedup_ratio divides kernel deliveries by physical tile acquisitions, and a
+// pooled tile is acquired once per round however many jobs it feeds. 32
+// identical PageRank jobs (whole graph, every round, cache hits from the
+// second round on) therefore report one job's tile counters and 32× its
+// dispatches.
+TEST(JobManager, DedupRatioCountsPooledTilesOnce) {
+  io::TempDir dir;
+  const std::string base = convert(dir, multi_tile_graph());
+  ingest::EdgeIngestor ingestor(base);
+
+  const auto run_n_pagerank = [&](std::size_t n) {
+    JobManager manager(ingestor);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t k = 0; k < n; ++k) {
+      Json j = Json::object();
+      j.set("algo", Json("pagerank"));
+      j.set("iterations", Json(static_cast<std::uint64_t>(5)));
+      ids.push_back(manager.submit(j));
+    }
+    manager.start();
+    for (const std::uint64_t id : ids)
+      EXPECT_TRUE(manager.wait(id, std::chrono::milliseconds(120000)));
+    manager.stop(true);
+    const Json s = manager.stats();
+    EXPECT_EQ(s.at("jobs_done").as_uint(), n);
+    EXPECT_EQ(s.at("gangs").as_uint(), 1u);
+    return s;
+  };
+
+  const Json one = run_n_pagerank(1);
+  const Json gang32 = run_n_pagerank(32);
+  ASSERT_GT(one.at("tiles_from_cache").as_uint(), 0u);
+  EXPECT_EQ(gang32.at("tiles_fetched").as_uint(),
+            one.at("tiles_fetched").as_uint());
+  EXPECT_EQ(gang32.at("tiles_from_cache").as_uint(),
+            one.at("tiles_from_cache").as_uint());
+  EXPECT_EQ(gang32.at("tile_dispatches").as_uint(),
+            32 * one.at("tile_dispatches").as_uint());
+  EXPECT_DOUBLE_EQ(one.at("dedup_ratio").as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(gang32.at("dedup_ratio").as_number(), 32.0);
+}
+
 TEST(JobManager, LiveIngestAndSnapshotIsolation) {
   io::TempDir dir;
   const std::string base = convert(dir, single_tile_graph());
@@ -511,6 +553,36 @@ TEST(ServeServer, EndToEndOverTcp) {
   manager.stop(true);
 }
 
+// gstore_serve's main thread calls stop() as soon as wait_shutdown()
+// returns, and stop() shuts every connection down: the shutdown reply must
+// be on the wire before wait_shutdown() wakes.
+TEST(ServeServer, ShutdownRepliesBeforeStopping) {
+  io::TempDir dir;
+  const std::string base = convert(dir, single_tile_graph());
+  ingest::EdgeIngestor ingestor(base);
+  JobManager manager(ingestor);
+  manager.start();
+  Json sd = Json::object();
+  sd.set("op", Json("shutdown"));
+  for (int round = 0; round < 500; ++round) {
+    serve::Server server(manager);
+    server.start();
+    std::thread daemon_main([&] {
+      server.wait_shutdown();
+      server.stop();
+    });
+    serve::Client client("127.0.0.1", server.port());
+    bool replied = false;
+    try {
+      replied = client.call(sd).at("ok").as_bool();
+    } catch (const IoError&) {
+    }
+    daemon_main.join();
+    EXPECT_TRUE(replied) << "round " << round;
+  }
+  manager.stop(false);
+}
+
 TEST(ServeServer, SurvivesAbruptClientsAndRestarts) {
   io::TempDir dir;
   const std::string base = convert(dir, single_tile_graph());
@@ -643,24 +715,109 @@ TEST(SharedScheduler, AdmitsTileLargerThanPerJobQuotaOnPoolHeadroom) {
   IdleBystanderAlgo idle(kRounds);
   serve::SharedScheduler sched(*pinned, cfg);
   std::vector<serve::JobState> states;
-  const serve::GangStats gang = sched.run(
+  std::uint64_t tile_dispatches = 0;
+  const store::EngineStats gang = sched.run(
       {serve::GangJob{1, &hot, {}}, serve::GangJob{2, &idle, {}}}, nullptr,
-      [&](const serve::GangJob&, serve::JobState st, const serve::JobStats&,
-          const std::string&) { states.push_back(st); });
+      [&](const serve::GangJob&, serve::JobState st,
+          const serve::JobStats& js, const std::string&) {
+        states.push_back(st);
+        tile_dispatches += js.tiles_dispatched;
+      });
 
   ASSERT_EQ(states.size(), 2u);
   EXPECT_EQ(states[0], JobState::kDone);
   EXPECT_EQ(states[1], JobState::kDone);
   EXPECT_EQ(gang.rounds, kRounds);
   // One disk fetch for the first round; every later round is a cache hit.
-  EXPECT_EQ(gang.tiles_fetched, 1u);
+  EXPECT_EQ(gang.tiles_from_disk, 1u);
   EXPECT_EQ(gang.tiles_from_cache, kRounds - 1);
   // Dedup ratio (kernel deliveries per unique payload fetch) stays high:
   // pre-fix it collapses to 1.0 because each round re-materializes the tile.
-  const double dedup = static_cast<double>(gang.tile_dispatches) /
-                       static_cast<double>(gang.tiles_fetched);
+  const double dedup = static_cast<double>(tile_dispatches) /
+                       static_cast<double>(gang.tiles_from_disk);
   EXPECT_GE(dedup, static_cast<double>(kRounds));
   EXPECT_LT(gang.bytes_read, static_cast<std::uint64_t>(kRounds) * tile_bytes);
+}
+
+// ---- the shared pass: SLIDE overlaps REWIND, and a throw unwinds ----------
+
+// A 32-vertex-tile Kronecker store pinned through a snapshot: many tiles, so
+// half the graph in the pool leaves the second round tiles to REWIND and
+// tiles to SLIDE (same shape as the engine's overlap tests).
+std::string kron_base(const io::TempDir& dir) {
+  tile::ConvertOptions o;
+  o.tile_bits = 5;
+  o.group_side = 3;
+  return convert(
+      dir, graph::kronecker(9, 6, graph::GraphKind::kUndirected, 17), o);
+}
+
+std::uint64_t nonempty_tiles(const tile::TileStore& store) {
+  std::uint64_t n = 0;
+  for (std::uint64_t idx = 0; idx < store.grid().tile_count(); ++idx)
+    if (store.tile_bytes(idx) != 0) ++n;
+  return n;
+}
+
+struct GangRun {
+  store::EngineStats stats;
+  std::vector<JobState> states;
+  std::vector<std::string> errors;
+};
+
+GangRun run_gang(serve::SharedScheduler& sched, store::TileAlgorithm& algo) {
+  GangRun r;
+  r.stats = sched.run(
+      {serve::GangJob{1, &algo, {}}}, nullptr,
+      [&](const serve::GangJob&, JobState st, const serve::JobStats&,
+          const std::string& error) {
+        r.states.push_back(st);
+        r.errors.push_back(error);
+      });
+  return r;
+}
+
+TEST(SharedScheduler, SlideReadsOverlapRewind) {
+  io::TempDir dir;
+  ingest::EdgeIngestor ingestor(kron_base(dir));
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  tile::TileStore& store = pinned->store();
+  serve::SharedScheduler sched(
+      *pinned, gstore::testing::half_cached<serve::SchedulerConfig>(store));
+
+  gstore::testing::OverlapProbeAlgo algo(store, /*throw_on_probe=*/false);
+  const GangRun r = run_gang(sched, algo);
+  ASSERT_EQ(r.states, std::vector<JobState>{JobState::kDone});
+  ASSERT_EQ(r.stats.rounds, 2u);
+  // Round 0 fetches every tile; round 1 takes some from the pool and
+  // fetches the rest.
+  ASSERT_GT(r.stats.tiles_from_cache, 0u);
+  ASSERT_GT(r.stats.tiles_from_disk, nonempty_tiles(store));
+  EXPECT_TRUE(algo.overlapped());
+}
+
+TEST(SharedScheduler, RewindThrowWithReadsInFlightFailsJobCleanly) {
+  io::TempDir dir;
+  ingest::EdgeIngestor ingestor(kron_base(dir));
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  tile::TileStore& store = pinned->store();
+  serve::SharedScheduler sched(
+      *pinned, gstore::testing::half_cached<serve::SchedulerConfig>(store));
+
+  gstore::testing::OverlapProbeAlgo failing(store, /*throw_on_probe=*/true);
+  const GangRun r = run_gang(sched, failing);
+  ASSERT_EQ(r.states, std::vector<JobState>{JobState::kFailed});
+  EXPECT_EQ(r.errors[0], "probe failure");
+  EXPECT_TRUE(failing.overlapped());
+  EXPECT_EQ(store.device().in_flight(), 0u);
+
+  // The daemon's next gang on the same snapshot runs normally.
+  gstore::testing::OverlapProbeAlgo next(store, /*throw_on_probe=*/false);
+  const GangRun again = run_gang(sched, next);
+  EXPECT_EQ(again.states, std::vector<JobState>{JobState::kDone});
+  EXPECT_TRUE(next.overlapped());
 }
 
 }  // namespace
