@@ -1,8 +1,13 @@
 // I/O-path ablation (paper §V-B: batched Linux AIO instead of "direct and
 // synchronous POSIX I/O", overlapped with compute via the two-segment
-// slide). Three configurations on the same store and algorithm:
-//   sync          — synchronous reads, no overlap (the POSIX baseline)
-//   async         — batched async engine, but compute waits for each segment
+// slide). Three configurations on the same store and algorithm, each
+// reading a segment's coalesced requests through the one per-request
+// retry routine:
+//   sync          — the kSync backend reads the requests one after another
+//                   inside submit(), on the compute thread (the POSIX
+//                   baseline)
+//   async         — the I/O workers read them concurrently, but compute
+//                   waits for each segment
 //   async+overlap — the G-Store design: next segment loads while this one
 //                   computes
 // Also reports the syscall batching the paper highlights: read requests per

@@ -38,12 +38,9 @@ void compare(const char* name, tile::TileStore& store, MakeAlgo&& make,
   const auto ss = store::ScrEngine(store, scr).run(*a2);
   const double scr_secs = ts.seconds();
 
-  // Cached tiles are pinned segment slices, never memcpy'd — a nonzero
-  // copied-to-pool count here is a regression off the zero-copy path.
   t.row({name, bench::fmt(base_secs), bench::fmt(scr_secs),
          bench::fmt(base_secs / scr_secs) + "x",
-         bench::fmt_bytes(sb.bytes_read), bench::fmt_bytes(ss.bytes_read),
-         bench::fmt_bytes(ss.bytes_copied_to_pool)});
+         bench::fmt_bytes(sb.bytes_read), bench::fmt_bytes(ss.bytes_read)});
 }
 
 }  // namespace
@@ -60,7 +57,7 @@ int main() {
   auto store = bench::open_store(dir, g.el, bench::default_tile_opts(), bench::one_ssd());
 
   bench::Table t({"algorithm", "base (s)", "SCR (s)", "speedup", "base I/O",
-                  "SCR I/O", "pool memcpy"});
+                  "SCR I/O"});
   compare("BFS", store,
           [] { return std::make_unique<algo::TileBfs>(1); }, t);
   compare("PageRank", store,

@@ -34,7 +34,8 @@ void TileBfs::visit(graph::vid_t v, std::int32_t next_level) {
 }
 
 void TileBfs::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TileBfs::process_block(const tile::EdgeBlock& block) {

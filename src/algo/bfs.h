@@ -25,7 +25,6 @@ class TileBfs final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
@@ -45,6 +44,7 @@ class TileBfs final : public store::TileAlgorithm {
   std::int32_t max_depth() const noexcept { return level_; }
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   void visit(graph::vid_t v, std::int32_t next_level);
 
   graph::vid_t root_;

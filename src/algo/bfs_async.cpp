@@ -34,7 +34,8 @@ void TileBfsAsync::relax(graph::vid_t to, std::int32_t cand) {
 }
 
 void TileBfsAsync::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TileBfsAsync::process_block(const tile::EdgeBlock& block) {

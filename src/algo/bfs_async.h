@@ -27,7 +27,6 @@ class TileBfsAsync final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
@@ -37,6 +36,7 @@ class TileBfsAsync final : public store::TileAlgorithm {
   std::uint32_t passes() const noexcept { return passes_; }
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   void relax(graph::vid_t to, std::int32_t cand);
 
   graph::vid_t root_;

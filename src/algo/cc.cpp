@@ -18,7 +18,8 @@ void TileWcc::init(const tile::TileStore& store) {
 void TileWcc::begin_iteration(std::uint32_t) { changed_ = 0; }
 
 void TileWcc::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TileWcc::process_block(const tile::EdgeBlock& block) {

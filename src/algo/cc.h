@@ -21,7 +21,6 @@ class TileWcc final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   // All tiles stay useful while labels keep moving (the paper runs CC over
@@ -34,6 +33,7 @@ class TileWcc final : public store::TileAlgorithm {
   std::uint64_t component_count() const;
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   unsigned tile_bits_ = 16;
   std::uint64_t changed_ = 0;  // label updates this iteration (atomic)
   std::uint32_t iteration_ = 0;

@@ -25,7 +25,8 @@ void TileKCore::begin_iteration(std::uint32_t) {
 }
 
 void TileKCore::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TileKCore::process_block(const tile::EdgeBlock& block) {

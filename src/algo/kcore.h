@@ -24,7 +24,6 @@ class TileKCore final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
@@ -34,6 +33,7 @@ class TileKCore final : public store::TileAlgorithm {
   std::uint64_t core_size() const;
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   graph::degree_t k_;
   unsigned tile_bits_ = 16;
   std::uint64_t killed_this_iter_ = 0;

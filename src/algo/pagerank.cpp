@@ -34,7 +34,8 @@ void TilePageRank::begin_iteration(std::uint32_t) {
 }
 
 void TilePageRank::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TilePageRank::process_block(const tile::EdgeBlock& block) {

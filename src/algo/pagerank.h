@@ -33,7 +33,6 @@ class TilePageRank final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
 
   const std::vector<float>& ranks() const noexcept { return rank_; }
@@ -41,6 +40,7 @@ class TilePageRank final : public store::TileAlgorithm {
   double last_delta() const noexcept { return last_delta_; }
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   PageRankOptions options_;
   bool symmetric_ = true;
   bool in_edges_ = false;

@@ -110,7 +110,8 @@ void TilePageRankDelta::deposit(graph::vid_t v, std::uint64_t amount_fx) {
 }
 
 void TilePageRankDelta::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TilePageRankDelta::process_block(const tile::EdgeBlock& block) {

@@ -50,7 +50,6 @@ class TilePageRankDelta final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
@@ -70,6 +69,7 @@ class TilePageRankDelta final : public store::TileAlgorithm {
   std::uint32_t rounds_run() const noexcept { return rounds_; }
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   void drain_rows_upto(std::uint32_t bucket);
   std::uint32_t bucket_of_row(std::uint32_t r) const;
   void deposit(graph::vid_t v, std::uint64_t amount_fx);

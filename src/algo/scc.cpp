@@ -30,7 +30,8 @@ void TileReach::init(const tile::TileStore& store) {
 void TileReach::begin_iteration(std::uint32_t) { new_reached_ = 0; }
 
 void TileReach::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TileReach::process_block(const tile::EdgeBlock& block) {

@@ -40,7 +40,6 @@ class TileReach final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
@@ -48,6 +47,7 @@ class TileReach final : public store::TileAlgorithm {
   const std::vector<std::uint8_t>& reached() const noexcept { return reached_; }
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   graph::vid_t root_;
   const std::vector<std::uint8_t>* mask_;
   unsigned tile_bits_ = 16;

@@ -36,7 +36,8 @@ void TileSssp::relax(graph::vid_t to, float cand) {
 }
 
 void TileSssp::process_tile(const tile::TileView& view) {
-  process_tile_blocked(view);
+  tile::for_each_block(view,
+                       [this](const tile::EdgeBlock& b) { process_block(b); });
 }
 
 void TileSssp::process_block(const tile::EdgeBlock& block) {

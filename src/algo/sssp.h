@@ -46,7 +46,6 @@ class TileSssp final : public store::TileAlgorithm {
   void init(const tile::TileStore& store) override;
   void begin_iteration(std::uint32_t iter) override;
   void process_tile(const tile::TileView& view) override;
-  void process_block(const tile::EdgeBlock& block) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
@@ -68,6 +67,7 @@ class TileSssp final : public store::TileAlgorithm {
   const std::vector<float>& distances() const noexcept { return dist_; }
 
  private:
+  void process_block(const tile::EdgeBlock& block);
   void relax(graph::vid_t to, float cand);
   std::uint32_t bucket_of(float d) const;
 

@@ -27,7 +27,6 @@ store::EngineStats GridGraphEngine::run(store::TileAlgorithm& algo) {
   // path); the *policy* — recency instead of algorithmic metadata — is what
   // distinguishes this baseline, per the paper's §VIII comparison.
   cfg.rewind = true;
-  cfg.selective_fetch = true;  // block-level selective scheduling
   return store::ScrEngine(store_, cfg).run(algo);
 }
 

@@ -239,10 +239,13 @@ struct AsyncEngine::Impl {
 
 AsyncEngine::AsyncEngine(Backend backend, std::size_t depth,
                          std::size_t workers, RetryPolicy retry)
-    : impl_(std::make_unique<Impl>(backend, depth, workers, retry)),
-      backend_(backend) {}
+    : impl_(std::make_unique<Impl>(backend, depth, workers, retry)) {}
 
 AsyncEngine::~AsyncEngine() = default;
+
+Completion AsyncEngine::execute(const ReadRequest& req) {
+  return impl_->execute(req);
+}
 
 void AsyncEngine::submit(const std::vector<ReadRequest>& batch) {
   impl_->submit_calls.fetch_add(1, std::memory_order_relaxed);
@@ -252,7 +255,7 @@ void AsyncEngine::submit(const std::vector<ReadRequest>& batch) {
                  "read request with null buffer");
   }
 
-  if (backend_ == Backend::kSync) {
+  if (impl_->backend == Backend::kSync) {
     // The synchronous baseline performs the reads inline, in submit order.
     std::vector<Completion> results;
     results.reserve(batch.size());
@@ -375,10 +378,6 @@ RetryStats AsyncEngine::retry_stats() const noexcept {
           impl_->backoff_micros.load(std::memory_order_relaxed)) /
       1e6;
   return s;
-}
-
-const RetryPolicy& AsyncEngine::retry_policy() const noexcept {
-  return impl_->retry;
 }
 
 }  // namespace gstore::io

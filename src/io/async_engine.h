@@ -6,7 +6,8 @@
 // not available in this environment, so AsyncEngine reproduces the exact
 // programming model — batch submit, completion polling, bounded in-flight
 // queue — on top of a worker pool issuing pread(2). A synchronous backend is
-// provided for the paper's AIO-vs-POSIX comparison.
+// provided for the paper's AIO-vs-POSIX comparison. Every read, batched or
+// not, runs through one per-request retry routine (execute()).
 #pragma once
 
 #include <cstddef>
@@ -34,10 +35,10 @@ class Throttle;
 enum class ErrnoClass { kInterrupted, kTransient, kPermanent };
 ErrnoClass classify_errno(int err) noexcept;
 
-// Bounded-retry contract for one read request. All recovery is performed on
-// the I/O worker executing the request, so submitters and pollers never see
-// a transient failure at all — only requests that exhausted their budget
-// complete with ok == false.
+// Bounded-retry contract for one read request. All recovery is performed by
+// the thread executing the request (an I/O worker, or the caller of
+// execute()), so submitters and pollers never see a transient failure at
+// all — only requests that exhausted their budget complete with ok == false.
 struct RetryPolicy {
   int max_retries = 4;         // budget for kTransient failures
   int max_interrupts = 256;    // budget for kInterrupted storms
@@ -107,7 +108,12 @@ class AsyncEngine {
   AsyncEngine(const AsyncEngine&) = delete;
   AsyncEngine& operator=(const AsyncEngine&) = delete;
 
-  Backend backend() const noexcept { return backend_; }
+  // Runs one request to its final completion on the calling thread: the
+  // per-request routine every worker (and the kSync backend) runs, with
+  // the same retries, backoff and tail resubmits, counted in bytes_read()
+  // and retry_stats(). Never throws; a read past its budget comes back
+  // with ok == false.
+  Completion execute(const ReadRequest& req);
 
   // Submits a batch of reads in one call (mirrors io_submit). Blocks only
   // if the in-flight queue is full. Buffers must stay valid until the
@@ -141,12 +147,10 @@ class AsyncEngine {
   std::uint64_t submit_calls() const noexcept;
   // Recovery counters (retries, short-read resubmits, failures, backoff).
   RetryStats retry_stats() const noexcept;
-  const RetryPolicy& retry_policy() const noexcept;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  Backend backend_;
 };
 
 }  // namespace gstore::io

@@ -46,59 +46,43 @@ TierMap Device::tier_map() const {
   return tier_map_;
 }
 
-std::pair<std::uint64_t, std::uint64_t> Device::tier_split(
-    std::uint64_t offset, std::size_t n) const {
+void Device::route(ReadRequest& req) {
+  req.file = source_.get();
+  // Pacing happens on the thread executing the request (an I/O worker for
+  // submit()) so emulated device time overlaps with compute, exactly like a
+  // real disk.
+  req.throttle = throttle_.enabled() ? &throttle_ : nullptr;
   ReaderMutexLock lock(tier_mutex_);
-  if (config_.slow_tier_bw == 0 || tier_map_.empty())
-    return {n, 0};
-  return tier_map_.split(offset, offset + n);
+  if (config_.slow_tier_bw == 0 || tier_map_.empty()) return;
+  const std::uint64_t slow =
+      tier_map_.split(req.offset, req.offset + req.length).second;
+  if (slow > 0) {
+    req.slow_throttle = &slow_throttle_;
+    req.slow_bytes = static_cast<std::size_t>(slow);
+  }
 }
 
 void Device::read(void* buf, std::size_t n, std::uint64_t offset) {
-  const auto [fast, slow] = tier_split(offset, n);
-  throttle_.acquire(fast);
-  if (slow > 0) slow_throttle_.acquire(slow);
-  // The synchronous path honors the same retry contract as the async
-  // workers for interrupted/transient errors, so `gstore_run --fault-spec`
-  // behaves the same in overlap and no-overlap modes. Failures past the
-  // budget propagate as the IoError they are.
-  int transient_attempts = 0;
-  int interrupt_attempts = 0;
-  for (;;) {
-    try {
-      source_->pread_full(buf, n, offset);
-      break;
-    } catch (const IoError& e) {
-      switch (classify_errno(e.sys_errno())) {
-        case ErrnoClass::kInterrupted:
-          if (++interrupt_attempts <= config_.retry.max_interrupts) continue;
-          break;
-        case ErrnoClass::kTransient:
-          if (++transient_attempts <= config_.retry.max_retries) continue;
-          break;
-        case ErrnoClass::kPermanent:
-          break;
-      }
-      throw;
-    }
-  }
-  sync_bytes_.fetch_add(n, std::memory_order_relaxed);
+  ReadRequest req;
+  req.offset = offset;
+  req.length = n;
+  req.buffer = static_cast<std::uint8_t*>(buf);
+  route(req);
   read_ops_.fetch_add(1, std::memory_order_relaxed);
+  const Completion c = engine_.execute(req);
+  if (!c.ok)
+    throw IoError("read at offset " + std::to_string(offset) + " failed (" +
+                      c.message + ")",
+                  c.error);
+  if (c.bytes != n)
+    throw IoError("short read at offset " + std::to_string(offset) + " (" +
+                      std::to_string(c.bytes) + "/" + std::to_string(n) +
+                      " bytes)",
+                  EIO);
 }
 
 void Device::submit(std::vector<ReadRequest> batch) {
-  for (auto& req : batch) {
-    req.file = source_.get();
-    // Pacing happens on the I/O workers so emulated device time overlaps
-    // with compute, exactly like a real disk.
-    req.throttle = throttle_.enabled() ? &throttle_ : nullptr;
-    const auto [fast, slow] = tier_split(req.offset, req.length);
-    (void)fast;
-    if (slow > 0) {
-      req.slow_throttle = &slow_throttle_;
-      req.slow_bytes = static_cast<std::size_t>(slow);
-    }
-  }
+  for (auto& req : batch) route(req);
   read_ops_.fetch_add(batch.size(), std::memory_order_relaxed);
   engine_.submit(batch);
 }
@@ -115,8 +99,7 @@ std::size_t Device::quiesce() noexcept { return engine_.quiesce(); }
 DeviceStats Device::stats() const {
   MutexLock lock(stats_mutex_);
   DeviceStats s;
-  s.bytes_read = engine_.bytes_read() - stats_bytes_base_ +
-                 sync_bytes_.load(std::memory_order_relaxed);
+  s.bytes_read = engine_.bytes_read() - stats_bytes_base_;
   s.read_ops = read_ops_.load(std::memory_order_relaxed);
   s.submit_calls = engine_.submit_calls() - stats_submit_base_;
   const RetryStats r = engine_.retry_stats();
@@ -132,7 +115,6 @@ void Device::reset_stats() {
   stats_bytes_base_ = engine_.bytes_read();
   stats_submit_base_ = engine_.submit_calls();
   stats_retry_base_ = engine_.retry_stats();
-  sync_bytes_.store(0, std::memory_order_relaxed);
   read_ops_.store(0, std::memory_order_relaxed);
 }
 

@@ -39,8 +39,8 @@ struct DeviceConfig {
   std::size_t queue_depth = 128;
   std::size_t io_workers = 4;
   bool direct = false;  // request O_DIRECT where the filesystem allows it
-  // Bounded-retry contract applied by the async engine's workers (and the
-  // synchronous baseline) to every read. See io/async_engine.h.
+  // Bounded-retry contract the async engine applies to every read,
+  // synchronous or batched. See io/async_engine.h.
   RetryPolicy retry;
   // Fault injection (io/fault.h): when non-empty, the opened source is
   // wrapped in a FaultInjectingSource with FaultSpec::parse(fault_spec).
@@ -53,9 +53,10 @@ struct DeviceStats {
   std::uint64_t bytes_read = 0;
   std::uint64_t read_ops = 0;
   std::uint64_t submit_calls = 0;
-  // Recovery counters from the async engine (see RetryStats): how many
-  // reads were retried, how many short reads were resubmitted for their
-  // tail, how many exhausted the budget, and the total backoff slept.
+  // Recovery counters from the async engine (see RetryStats), for read()
+  // and submit() alike: how many reads were retried, how many short reads
+  // were resubmitted for their tail, how many exhausted the budget, and the
+  // total backoff slept.
   std::uint64_t retries = 0;
   std::uint64_t short_reads = 0;
   std::uint64_t failed_reads = 0;
@@ -66,7 +67,10 @@ class Device {
  public:
   Device(const std::string& path, DeviceConfig config = {});
 
-  // Synchronous full read (throttled).
+  // Synchronous full read: one request, throttled and tier-routed like
+  // submit()'s, run on the calling thread through the async engine's
+  // per-request retry routine and counted in stats() alike. Throws IoError
+  // unless all n bytes arrived.
   void read(void* buf, std::size_t n, std::uint64_t offset);
 
   // Batched asynchronous reads (throttled on submission, like a host-side
@@ -81,7 +85,6 @@ class Device {
   // Submitted requests whose completions have not been reaped yet.
   std::size_t in_flight() const { return engine_.in_flight(); }
 
-  const Source& file() const noexcept { return *source_; }
   std::uint64_t size() const { return source_->size(); }
 
   DeviceStats stats() const;
@@ -99,10 +102,9 @@ class Device {
   TierMap tier_map() const GSTORE_EXCLUDES(tier_mutex_);
 
  private:
-  // Computes the slow-tier portion of a read and returns request routing.
-  std::pair<std::uint64_t, std::uint64_t> tier_split(std::uint64_t offset,
-                                                     std::size_t n) const
-      GSTORE_EXCLUDES(tier_mutex_);
+  // Points a request at this device: its source, the throttle, and the
+  // slow-tier share of its bytes.
+  void route(ReadRequest& req) GSTORE_EXCLUDES(tier_mutex_);
 
   DeviceConfig config_;
   std::unique_ptr<Source> source_;
@@ -112,10 +114,8 @@ class Device {
   TierMap tier_map_ GSTORE_GUARDED_BY(tier_mutex_);
   AsyncEngine engine_;
   // cross-thread: TileStore advertises thread-compatible concurrent reads,
-  // so the stats counters read()/submit() bump must be atomic.
+  // so the counter read()/submit() bump must be atomic.
   std::atomic<std::uint64_t> read_ops_{0};
-  // cross-thread (same contract as read_ops_).
-  std::atomic<std::uint64_t> sync_bytes_{0};
   mutable Mutex stats_mutex_{"Device::stats_mutex_"};
   std::uint64_t stats_bytes_base_ GSTORE_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t stats_submit_base_ GSTORE_GUARDED_BY(stats_mutex_) = 0;

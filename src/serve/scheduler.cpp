@@ -37,8 +37,8 @@ std::uint64_t subscribers(Mask m) {
 }
 
 // A gang runs the scheduler's three knobs over ScrEngine's defaults for
-// everything else: selective fetch, overlapped I/O, the whole-tile retry
-// budget and the iteration cap.
+// everything else: overlapped I/O, the whole-tile retry budget and the
+// iteration cap.
 store::EngineConfig engine_config(const SchedulerConfig& sc) {
   store::EngineConfig c;
   c.stream_memory_bytes = sc.stream_memory_bytes;

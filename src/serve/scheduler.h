@@ -30,8 +30,7 @@
 // boundaries. Per-job statistics are job-scoped (JobStats); the gang-level
 // I/O counters are the store::EngineStats the pass fills, where a pooled
 // tile counts once per round however many jobs it served. Zero-copy is
-// preserved: cached tiles pin segment slices, and bytes_copied_to_pool
-// stays 0.
+// preserved: cached tiles pin segment slices.
 //
 // Threading: run() is called from ONE control thread (the JobManager's
 // scheduler thread); kernels fan out over OpenMP inside a round exactly
@@ -52,8 +51,9 @@
 namespace gstore::serve {
 
 // The memory split and the Fig 13 rewind switch. Everything else a gang
-// runs with (selective fetch, overlapped I/O, the whole-tile retry budget,
-// the iteration cap) is store::EngineConfig's default.
+// runs with (overlapped I/O, the whole-tile retry budget, the iteration
+// cap) is store::EngineConfig's default. Selective fetch is not a setting:
+// a round fetches only the tiles some job's tile_needed() asks for.
 struct SchedulerConfig {
   std::uint64_t stream_memory_bytes = 64ull << 20;
   std::uint64_t segment_bytes = 8ull << 20;

@@ -22,13 +22,11 @@
 // they may read only "current" state that process_tile() never writes.
 // Debug builds check tile_needed() by planning again after the scan.
 //
-// Two compute paths exist (docs/HOTPATH.md):
-//   * per-edge   — process_tile() iterates with tile::visit_edges. Simple,
-//                  and the correctness oracle for the block path.
-//   * block      — process_tile() forwards to process_tile_blocked(), which
-//                  decodes the tile into SoA EdgeBlocks and calls
-//                  process_block() per block. Hot algorithms override
-//                  process_block() with a branch-hoisted, prefetching kernel.
+// process_tile() is the one compute entry point (docs/HOTPATH.md). The
+// built-in algorithms implement it as tile::for_each_block over the view,
+// handing each decoded SoA EdgeBlock to their own branch-hoisted,
+// prefetching block kernel; tile::visit_edges is the simple per-edge way
+// to write one, and the correctness oracle for the block decoder.
 #pragma once
 
 #include <cstdint>
@@ -58,34 +56,6 @@ class TileAlgorithm {
   // Process every edge of one tile. `view.edges` are SNB tuples; global ids
   // are view.src_base + e.src16 / view.dst_base + e.dst16.
   virtual void process_tile(const tile::TileView& view) = 0;
-
-  // Process one decoded SoA block of a tile. The default reconstructs the
-  // block's slice of its source view and feeds it back through
-  // process_tile(), so algorithms that only implement the per-edge path
-  // work unchanged when something drives them block-wise. Hot algorithms
-  // override this; their process_tile() then forwards to
-  // process_tile_blocked() so both entry points share one kernel.
-  virtual void process_block(const tile::EdgeBlock& block) {
-    tile::TileView sub = *block.view;
-    if (sub.fat) {
-      sub.fat_edges = sub.fat_edges.subspan(block.first, block.size);
-    } else if (sub.codec == tile::TileCodec::kRaw) {
-      sub.edges = sub.edges.subspan(block.first, block.size);
-    } else {
-      // Encoded tile: the block's SoA arrays are the only materialized form
-      // (there is no tuple span to slice), so re-narrow the already-decoded
-      // global ids back into a raw SNB slice for the per-edge path.
-      tile::SnbEdge tmp[tile::EdgeBlock::kMaxEdges];
-      for (std::uint32_t k = 0; k < block.size; ++k) {
-        tmp[k].src16 = static_cast<std::uint16_t>(block.src[k] - sub.src_base);
-        tmp[k].dst16 = static_cast<std::uint16_t>(block.dst[k] - sub.dst_base);
-      }
-      sub = tile::splice_view(sub, std::span<const tile::SnbEdge>(tmp, block.size));
-      process_tile(sub);
-      return;
-    }
-    process_tile(sub);
-  }
 
   // Returns true if another iteration is required.
   virtual bool end_iteration(std::uint32_t iter) = 0;
@@ -149,14 +119,6 @@ class TileAlgorithm {
   virtual bool reactivate(const tile::TileStore& /*store*/,
                           std::span<const std::uint64_t> /*delta_tiles*/) {
     return false;
-  }
-
- protected:
-  // Block-path driver for process_tile() overrides: decodes the view and
-  // dispatches each block through the process_block() virtual.
-  void process_tile_blocked(const tile::TileView& view) {
-    tile::for_each_block(
-        view, [this](const tile::EdgeBlock& b) { process_block(b); });
   }
 };
 

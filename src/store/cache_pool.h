@@ -1,29 +1,26 @@
 // Zero-copy tile cache pool (paper §VI-A/§VI-C).
 //
 // Processed segments donate their useful tiles here by *pinning* refcounted
-// slices of the segment buffer (insert_pinned) — no memcpy on the hot path;
-// eviction just drops the pin and the backing buffer is freed when its last
-// pin goes away. A copying insert() remains for callers without a
-// refcounted buffer (tests, ablations) and is tallied in bytes_copied() so
-// regressions back to the copy path are observable. The pool is bounded by
-// a byte budget counted over pinned slice bytes. Iteration order is layout
-// order so the rewind phase processes cached tiles in the same disk order
-// the streaming phase would have. Tracks recency for the LRU baseline
-// policy. Lifetime rules: docs/HOTPATH.md.
+// slices of the segment buffer (insert_pinned, the only way in) — the pool
+// never copies tile bytes; eviction just drops the pin and the backing
+// buffer is freed when its last pin goes away. for_each_entry is the only
+// way out. The pool is bounded by a byte budget counted over pinned slice
+// bytes. Iteration order is layout order so the rewind phase processes
+// cached tiles in the same disk order the streaming phase would have.
+// Tracks recency for the LRU baseline policy. Lifetime rules:
+// docs/HOTPATH.md.
 //
 // Synchronization: all bookkeeping (insert/erase/touch/evict/counters) is
 // internally serialized by `mutex_`, so concurrent metadata operations are
 // safe. The tile *bytes* behind an Entry pointer are a separate contract:
-// entries()/for_each_entry() hand out pointers into pinned buffers, and the
-// caller must not run erase()/clear()/evict_lru() for those tiles while
-// another thread still dereferences them (the SCR engine satisfies this by
+// for_each_entry() hands out pointers into pinned buffers, and the caller
+// must not run erase()/clear()/evict_lru() for those tiles while another
+// thread still dereferences them (the SCR engine satisfies this by
 // structuring each iteration into rewind → slide → cache phases).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <vector>
 
 #include "store/segment.h"
 #include "util/sync.h"
@@ -59,17 +56,6 @@ class CachePool {
   bool insert_pinned(std::uint64_t layout_idx, BufferPin pin,
                      std::uint64_t bytes) GSTORE_EXCLUDES(mutex_);
 
-  // Copying insert for callers that do not hold a refcounted buffer.
-  // Counted in bytes_copied(); the engine's hot path must never take this.
-  bool insert(std::uint64_t layout_idx, const std::uint8_t* data,
-              std::uint64_t bytes) GSTORE_EXCLUDES(mutex_);
-
-  // Cumulative bytes memcpy'd by insert() — 0 on the zero-copy path.
-  std::uint64_t bytes_copied() const GSTORE_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    return bytes_copied_;
-  }
-
   // Removes one tile; returns freed bytes (0 if absent).
   std::uint64_t erase(std::uint64_t layout_idx) GSTORE_EXCLUDES(mutex_);
 
@@ -99,15 +85,9 @@ class CachePool {
       fn(Entry{idx, stored.pin.get(), stored.bytes});
   }
 
-  // Snapshot of entries in layout order (safe to erase entries *after*
-  // iterating the snapshot, not during — see the class comment). Allocates;
-  // hot paths use for_each_entry() into reused storage instead.
-  std::vector<Entry> entries() const GSTORE_EXCLUDES(mutex_);
-
  private:
   struct Stored {
-    BufferPin pin;             // aliased into a segment buffer, or an owning
-                               // copy when insert() was used
+    BufferPin pin;             // in the engine, a slice of a segment buffer
     std::uint64_t bytes = 0;
     std::uint64_t stamp = 0;   // recency
   };
@@ -124,7 +104,6 @@ class CachePool {
   const std::uint64_t budget_;
   std::uint64_t used_ GSTORE_GUARDED_BY(mutex_) = 0;
   std::uint64_t clock_ GSTORE_GUARDED_BY(mutex_) = 0;
-  std::uint64_t bytes_copied_ GSTORE_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace gstore::store

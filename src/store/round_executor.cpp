@@ -118,12 +118,14 @@ void RoundExecutor::scan(std::size_t n, IdxFn idx, DataFn data) {
 
 // Greedily packs tiles from fetch_[pos..] into segment s and submits the
 // reads as one batched call (coalescing contiguous tiles into single
-// requests). Returns the number of read requests in flight for it.
-std::size_t RoundExecutor::fill_and_submit(int s, std::size_t& pos) {
+// requests), counting them in pending_[s]. Without overlap_io the segment
+// is waited for before anything else runs; either way its reads go through
+// the same in-flight table, whole-tile retry budget and fail_round().
+void RoundExecutor::fill_and_submit(int s, std::size_t& pos) {
   Segment& seg = segments_[s];
   if (pos >= fetch_.size()) {
     seg.clear();  // nothing will be written — pinned bytes stay untouched
-    return 0;
+    return;
   }
   // begin_fill, not clear: if the pool still pins slices of this buffer a
   // fresh one is allocated, so the cached bytes stay immutable (zero-copy
@@ -164,22 +166,20 @@ std::size_t RoundExecutor::fill_and_submit(int s, std::size_t& pos) {
 
   stats_.tiles_from_disk += slots.size();
   for (const auto& slot : slots) bytes_fetched_ += slot.bytes;
-  if (batch.empty()) return 0;
+  if (batch.empty()) return;
   ++stats_.io_batches;
-  if (config_.overlap_io) {
-    const std::size_t n_requests = batch.size();
-    // Remember every request so a failed or truncated completion can be
-    // resubmitted (or reported with its offset) from wait_segment.
-    for (const auto& req : batch) inflight_.emplace(req.tag, InFlightRead{req, 0});
-    store_.device().submit(std::move(batch));
-    return n_requests;
-  }
-  // Synchronous mode: read inline.
+  pending_[s] = batch.size();
+  // Remember every request so a failed or truncated completion can be
+  // resubmitted (or reported with its offset) from wait_segment.
+  for (const auto& req : batch) inflight_.emplace(req.tag, InFlightRead{req, 0});
+  // Without overlap_io the submit is I/O wait too (the kSync backend reads
+  // inside it); with it, submit time stays with the caller.
   Timer t;
-  for (const auto& req : batch)
-    store_.device().read(req.buffer, req.length, req.offset);
-  stats_.io_wait_seconds += t.seconds();
-  return 0;
+  store_.device().submit(std::move(batch));
+  if (!config_.overlap_io) {
+    stats_.io_wait_seconds += t.seconds();
+    wait_segment(s);
+  }
 }
 
 // Waits until all in-flight requests for segment s have completed.
@@ -208,7 +208,7 @@ void RoundExecutor::handle_completion(const io::Completion& c) {
   --pending_[seg];
   const auto it = inflight_.find(c.tag);
   GSTORE_DCHECK(it != inflight_.end());
-  if (it == inflight_.end()) return;  // untracked (sync-mode leftovers)
+  if (it == inflight_.end()) return;
   InFlightRead& r = it->second;
   if (c.ok && c.bytes == r.req.length) {
     inflight_.erase(it);
@@ -284,8 +284,8 @@ std::uint64_t RoundExecutor::run_round(const std::vector<std::uint64_t>& tiles,
   std::size_t pos = 0;
   pending_[0] = pending_[1] = 0;
   try {
-    pending_[0] = fill_and_submit(0, pos);
-    pending_[1] = fill_and_submit(1, pos);
+    fill_and_submit(0, pos);
+    fill_and_submit(1, pos);
     scan(
         cached_.size(), [&](std::size_t k) { return cached_[k].layout_idx; },
         [&](std::size_t k) { return cached_[k].data; });
@@ -302,7 +302,7 @@ std::uint64_t RoundExecutor::run_round(const std::vector<std::uint64_t>& tiles,
       // Double-buffer state machine: the segment about to refill is
       // quiescent (its I/O reaped, its tiles processed and cached).
       GSTORE_DCHECK_EQ(pending_[cur], 0);
-      pending_[cur] = fill_and_submit(cur, pos);
+      fill_and_submit(cur, pos);
     }
   } catch (...) {
     quiesce_all();
@@ -327,7 +327,6 @@ EngineStats RoundExecutor::finish(double elapsed_seconds) {
   stats_.short_reads = dev.short_reads;
   stats_.failed_reads = dev.failed_reads;
   stats_.backoff_seconds = dev.backoff_seconds;
-  stats_.bytes_copied_to_pool = pool_.bytes_copied();
   stats_.segment_refreshes =
       segments_[0].buffer_refreshes() + segments_[1].buffer_refreshes();
   stats_.elapsed_seconds = elapsed_seconds;

@@ -14,6 +14,8 @@
 //   SLIDE  — alternate the two segments: wait for one, process it, run the
 //            CACHE hook on it, refill it while the other's reads land.
 //   delta  — tiles that live only in the overlay get a no-I/O pass last.
+// With overlap_io off, each segment's batch is waited for as soon as it is
+// submitted, so nothing overlaps, but the reads take the same path.
 //
 // Unwinding: no exception may escape while the async workers can still
 // write into the segment buffers. Reads failing past the retry budget
@@ -88,7 +90,7 @@ class RoundExecutor {
   void rethrow_scan_error();
   template <typename IdxFn, typename DataFn>
   void scan(std::size_t n, IdxFn idx, DataFn data);
-  std::size_t fill_and_submit(int s, std::size_t& pos);
+  void fill_and_submit(int s, std::size_t& pos);
   void wait_segment(int s);
   void handle_completion(const io::Completion& c);
   [[noreturn]] void fail_round();

@@ -44,7 +44,6 @@ struct ScrEngine::Runner {
   // ---- helpers -----------------------------------------------------------
 
   bool needed_now(std::uint64_t layout_idx) const {
-    if (!config.selective_fetch) return true;
     const tile::TileCoord c = grid.coord_at(layout_idx);
     return algo.tile_needed(c.i, c.j);
   }

@@ -41,8 +41,8 @@ namespace gstore::store {
 //               physical layout order.
 //   kPriority — delta-stepping worklist: tiles carry algorithm-assigned
 //               priorities and rounds drain the minimum bucket first. The
-//               worklist subsumes selective fetch (an idle tile is simply
-//               never filed), so EngineConfig::selective_fetch is ignored.
+//               worklist does selective fetch's job: an idle tile is simply
+//               never filed.
 enum class ScheduleMode { kGrid, kPriority };
 
 struct EngineConfig {
@@ -50,9 +50,8 @@ struct EngineConfig {
   std::uint64_t segment_bytes = 8ull << 20;
   CachePolicyKind policy = CachePolicyKind::kProactive;
   ScheduleMode schedule = ScheduleMode::kGrid;
-  bool rewind = true;           // off = "base policy" of the Fig 13 ablation
-  bool selective_fetch = true;  // honour algo.tile_needed when fetching
-  bool overlap_io = true;       // double-buffer I/O with compute
+  bool rewind = true;      // off = "base policy" of the Fig 13 ablation
+  bool overlap_io = true;  // double-buffer I/O with compute
   std::uint32_t max_iterations = 100000;
   // Whole-tile retry budget applied by the round executor to failed or
   // truncated tile reads, layered above the async engine's own per-read
@@ -103,9 +102,9 @@ struct EngineStats {
   // included in edges_processed).
   std::uint64_t overlay_edges = 0;
   std::uint64_t io_batches = 0;      // submit() calls (paper: batching saves syscalls)
-  // Bytes memcpy'd into the cache pool. The zero-copy data path pins
-  // segment slices instead of copying, so this stays 0; a nonzero value is
-  // a regression back to the copy path.
+  // Always 0: the cache pool only pins segment slices and has no copy
+  // path, so nothing writes this. It stays declared because
+  // perfbench/bench_gstore.cpp still reads it.
   std::uint64_t bytes_copied_to_pool = 0;
   // Segment buffers replaced because the pool still pinned slices of them
   // (the allocate-fresh-on-demand half of the zero-copy contract).

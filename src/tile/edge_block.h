@@ -6,9 +6,10 @@
 // compiler auto-vectorizes — and hands each block to the caller, so the
 // compute kernel runs over flat vid_t arrays with its branches hoisted and
 // its metadata gathers prefetched (EdgeBlock::prefetch_src/prefetch_dst).
-// TileAlgorithm::process_block() is the consumer-side contract; visit_edges()
-// below remains the per-edge fallback and the correctness oracle for raw and
-// fat tuples (tests assert both paths visit identical edge multisets).
+// The built-in algorithms' process_tile() calls it with their block kernel;
+// visit_edges() below remains the per-edge fallback and the correctness
+// oracle for raw and fat tuples (tests assert both paths visit identical
+// edge multisets).
 #pragma once
 
 #include <algorithm>

@@ -203,9 +203,9 @@ TileStore TileStore::open(const std::string& base_path, io::DeviceConfig config)
     throw FormatError(tiles_path(store.base_path_) +
                       " is too small to hold a tile-file header");
   TilesFileHeader th;
-  // Through Device::read, not file().pread_full: the device's synchronous
-  // path retries interrupted/transient errors, so opening a store survives
-  // the same faults the engine's streaming reads do.
+  // Through Device::read: it runs the async engine's per-request retry
+  // routine, so opening a store survives the same faults the engine's
+  // streaming reads do.
   store.device_->read(&th, sizeof(th), 0);
   if (th.magic != kTileFileMagic)
     throw FormatError(tiles_path(store.base_path_) +

@@ -112,37 +112,76 @@ TEST(Chaos, TransientFaultsPreserveResultsBitForBit) {
 }
 
 TEST(Chaos, FaultPastEveryBudgetIsOneCleanError) {
-  io::TempDir dir;
   const auto el = graph::kronecker(8, 4, GraphKind::kUndirected, 23);
-  // Read 1 serves TileStore::open's header; read 2 (an engine tile read —
-  // the codec-compressed store fits a single batch) then fails with zero
-  // retry budget anywhere, making a single blip behave like a dead sector.
-  io::DeviceConfig dev = fast_backoff("seed=1,eio-nth=2");
-  dev.retry.max_retries = 0;
-  auto store = gstore::testing::make_store(dir, el, small_tiles(), dev);
-  EngineConfig cfg = tiny_memory();
-  cfg.read_retry_budget = 0;
+  // Both I/O modes read through the same per-request routine and the same
+  // whole-tile budget, so both fail the same clean way.
+  for (const bool overlap : {true, false}) {
+    SCOPED_TRACE(overlap ? "overlap_io" : "no overlap_io");
+    io::TempDir dir;
+    // Read 1 serves TileStore::open's header; read 2 (an engine tile read —
+    // the codec-compressed store fits a single batch) then fails with zero
+    // retry budget anywhere, making a single blip behave like a dead sector.
+    io::DeviceConfig dev = fast_backoff("seed=1,eio-nth=2");
+    dev.retry.max_retries = 0;
+    auto store = gstore::testing::make_store(dir, el, small_tiles(), dev);
+    EngineConfig cfg = tiny_memory();
+    cfg.read_retry_budget = 0;
+    cfg.overlap_io = overlap;
 
-  algo::TileWcc wcc;
-  try {
-    ScrEngine(store, cfg).run(wcc);
-    FAIL() << "expected the exhausted-budget read to abort the run";
-  } catch (const IoError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("retry budget"), std::string::npos) << what;
-    EXPECT_NE(what.find("tile read at offset"), std::string::npos) << what;
+    algo::TileWcc wcc;
+    try {
+      ScrEngine(store, cfg).run(wcc);
+      FAIL() << "expected the exhausted-budget read to abort the run";
+    } catch (const IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("retry budget"), std::string::npos) << what;
+      EXPECT_NE(what.find("tile read at offset"), std::string::npos) << what;
+    }
+    EXPECT_GT(store.device().stats().failed_reads, 0u);
+    // Clean quiesce: nothing is still in flight after the exception.
+    std::vector<io::Completion> none;
+    EXPECT_EQ(store.device().poll(0, 64, none), 0u);
+
+    // The device and store remain usable — the nth-read fault is spent, so
+    // a rerun completes and produces a sane result.
+    algo::TileWcc again;
+    const EngineStats s = ScrEngine(store, cfg).run(again);
+    EXPECT_GT(s.iterations, 0u);
+    EXPECT_GT(again.component_count(), 0u);
   }
-  EXPECT_GT(store.device().stats().failed_reads, 0u);
-  // Clean quiesce: nothing is still in flight after the exception.
-  std::vector<io::Completion> none;
-  EXPECT_EQ(store.device().poll(0, 64, none), 0u);
+}
 
-  // The device and store remain usable — the nth-read fault is spent, so a
-  // rerun completes and produces a sane result.
-  algo::TileWcc again;
-  const EngineStats s = ScrEngine(store, cfg).run(again);
-  EXPECT_GT(s.iterations, 0u);
-  EXPECT_GT(again.component_count(), 0u);
+TEST(Chaos, OneFailedTileReadIsResubmittedWhole) {
+  const auto el = graph::kronecker(8, 4, GraphKind::kUndirected, 23);
+  // With no per-read retries, read 2 (an engine tile read; read 1 is open's
+  // header) fails in the engine's routine, and the default whole-tile budget
+  // resubmits it once. Both I/O modes, and the kSync backend reading inside
+  // submit(), recover the same way.
+  struct Mode {
+    const char* name;
+    bool overlap;
+    io::Backend backend;
+  };
+  for (const Mode m : {Mode{"overlap_io", true, io::Backend::kThreadPool},
+                       Mode{"no overlap_io", false, io::Backend::kThreadPool},
+                       Mode{"kSync backend", false, io::Backend::kSync}}) {
+    SCOPED_TRACE(m.name);
+    io::TempDir dir;
+    auto clean = gstore::testing::make_store(dir, el, small_tiles());
+    io::DeviceConfig dev = fast_backoff("seed=1,eio-nth=2");
+    dev.retry.max_retries = 0;
+    dev.backend = m.backend;
+    auto faulty = tile::TileStore::open(dir.file("g"), dev);
+    EngineConfig cfg = tiny_memory();
+    cfg.overlap_io = m.overlap;
+
+    algo::TileWcc a, b;
+    ScrEngine(clean, cfg).run(a);
+    const EngineStats s = ScrEngine(faulty, cfg).run(b);
+    EXPECT_EQ(s.tile_resubmits, 1u);
+    EXPECT_EQ(s.failed_reads, 1u);
+    EXPECT_EQ(a.labels(), b.labels());
+  }
 }
 
 TEST(Chaos, FailureWhileSiblingSegmentMidFillUnwindsCleanly) {
@@ -238,19 +277,28 @@ TEST(Chaos, CorruptCodecPayloadIsOneCleanFormatError) {
 }
 
 TEST(Chaos, SyncBackendHonorsTheSameRetryContract) {
-  // overlap_io == false exercises Device::read's inline retry loop instead
-  // of the worker-pool path; results must match the clean run just the same.
+  // The kSync backend runs each request inside submit(), through the same
+  // per-request routine the workers run, and overlap_io == false waits for
+  // each segment as soon as it is submitted; results must match the clean
+  // run just the same. The store outgrows the stream memory and there is no
+  // pool and no rewind, so every iteration rereads its tiles in many
+  // batches and the engine's reads, not just open's, draw faults.
   io::TempDir dir;
-  const auto el = graph::kronecker(8, 4, GraphKind::kUndirected, 37);
+  const auto el = graph::kronecker(10, 8, GraphKind::kUndirected, 37);
   auto clean = gstore::testing::make_store(dir, el, small_tiles());
-  auto faulty = tile::TileStore::open(
-      dir.file("g"), fast_backoff("seed=6,eintr=0.2,eio=0.05"));
+  io::DeviceConfig dev = fast_backoff("seed=6,eintr=0.2,eio=0.05");
+  dev.backend = io::Backend::kSync;
+  auto faulty = tile::TileStore::open(dir.file("g"), dev);
   EngineConfig cfg = tiny_memory();
   cfg.overlap_io = false;
+  cfg.policy = CachePolicyKind::kNone;
+  cfg.rewind = false;
   algo::TileWcc a, b;
   ScrEngine(clean, cfg).run(a);
-  ScrEngine(faulty, cfg).run(b);
+  const EngineStats s = ScrEngine(faulty, cfg).run(b);
   EXPECT_EQ(a.labels(), b.labels());
+  EXPECT_GT(s.retries + s.short_reads, 0u);
+  EXPECT_EQ(s.failed_reads, 0u);
 }
 
 }  // namespace

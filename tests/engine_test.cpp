@@ -300,21 +300,6 @@ TEST(ScrEngine, ExactlyMaxIterationsSucceeds) {
   EXPECT_EQ(stats.iterations, 3u);
 }
 
-TEST(ScrEngine, SelectiveFetchDisabledStreamsEverything) {
-  io::TempDir dir;
-  auto store = kron_store(dir, 8, 4);
-  EngineConfig cfg = tiny_memory();
-  cfg.selective_fetch = false;
-  cfg.policy = CachePolicyKind::kNone;
-  cfg.rewind = false;
-  RecordingAlgo algo(2);
-  algo.needed_rows_ = {0};  // oracle says row 0 only — engine must ignore it
-  const auto stats = ScrEngine(store, cfg).run(algo);
-  EXPECT_EQ(stats.tiles_skipped, 0u);
-  EXPECT_EQ(stats.bytes_read,
-            2 * store.bytes_of_range(0, store.grid().tile_count()));
-}
-
 TEST(ScrEngine, FatTupleStoreStreamsCorrectByteCounts) {
   io::TempDir dir;
   auto el = graph::kronecker(8, 4, graph::GraphKind::kUndirected, 3);

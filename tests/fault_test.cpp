@@ -425,13 +425,33 @@ TEST(Device, FaultSpecWiresInjectionIntoBothReadPaths) {
   cfg.retry.backoff_max_ms = 1.0;
   Device dev(path, cfg);
 
-  // Synchronous path: interrupted/transient faults are retried inline.
+  // Synchronous path: interrupted faults and short reads are recovered on
+  // the calling thread by the engine's routine, and counted like the async
+  // path's.
   std::vector<std::uint8_t> sync_buf(32 << 10);
-  dev.read(sync_buf.data(), sync_buf.size(), 8192);
-  EXPECT_EQ(std::memcmp(sync_buf.data(), data.data() + 8192, sync_buf.size()),
-            0);
+  for (std::size_t off = 0; off < data.size(); off += sync_buf.size()) {
+    dev.read(sync_buf.data(), sync_buf.size(), off);
+    EXPECT_EQ(std::memcmp(sync_buf.data(), data.data() + off, sync_buf.size()),
+              0);
+  }
+  const DeviceStats sync_stats = dev.stats();
+  EXPECT_GT(sync_stats.retries + sync_stats.short_reads, 0u);
+  EXPECT_EQ(sync_stats.failed_reads, 0u);
+
+  // Every call coming back short still completes the read: the tail is
+  // resubmitted until all 32 KiB arrived.
+  DeviceConfig all_short = cfg;
+  all_short.fault_spec = "seed=4,short=1";
+  Device short_dev(path, all_short);
+  std::vector<std::uint8_t> short_buf(32 << 10);
+  short_dev.read(short_buf.data(), short_buf.size(), 8192);
+  EXPECT_EQ(
+      std::memcmp(short_buf.data(), data.data() + 8192, short_buf.size()), 0);
+  EXPECT_GT(short_dev.stats().short_reads, 0u);
 
   // Async path: workers absorb the same faults; stats surface the recovery.
+  // Reset first so the sync reads' counts cannot stand in for the workers'.
+  dev.reset_stats();
   std::vector<std::vector<std::uint8_t>> bufs(8,
                                               std::vector<std::uint8_t>(8192));
   std::vector<ReadRequest> batch;

@@ -64,7 +64,6 @@ TEST_P(RandomConfigTest, ResultsInvariantToEngineConfig) {
     cfg.policy = static_cast<store::CachePolicyKind>(rng.next_below(3));
     cfg.rewind = rng.next_below(2) == 0;
     cfg.overlap_io = rng.next_below(2) == 0;
-    cfg.selective_fetch = rng.next_below(2) == 0;
 
     algo::TileBfs bfs(0);
     store::ScrEngine(store, cfg).run(bfs);
@@ -427,7 +426,8 @@ TEST(PropertyCachePool, InvariantsHoldUnderRandomOps) {
   Xoshiro256 rng(31337);
   store::CachePool pool(10'000);
   std::map<std::uint64_t, std::size_t> shadow;  // idx -> size
-  std::vector<std::uint8_t> blob(2'000, 0x5c);
+  const store::BufferPin blob =
+      gstore::testing::pin_copy(std::vector<std::uint8_t>(2'000, 0x5c));
 
   for (int op = 0; op < 3000; ++op) {
     const std::uint64_t idx = rng.next_below(40);
@@ -437,7 +437,7 @@ TEST(PropertyCachePool, InvariantsHoldUnderRandomOps) {
         const std::size_t old = shadow.count(idx) ? shadow[idx] : 0;
         const std::uint64_t used_without = pool.used() - old;
         const bool fits = used_without + sz <= pool.budget();
-        const bool ok = pool.insert(idx, blob.data(), sz);
+        const bool ok = pool.insert_pinned(idx, blob, sz);
         ASSERT_EQ(ok, fits) << "op " << op;
         if (ok) {
           shadow[idx] = sz;
@@ -459,7 +459,9 @@ TEST(PropertyCachePool, InvariantsHoldUnderRandomOps) {
         // Rebuild the shadow from the pool (eviction picks by recency,
         // which the shadow does not model).
         std::map<std::uint64_t, std::size_t> rebuilt;
-        for (const auto& e : pool.entries()) rebuilt[e.layout_idx] = e.bytes;
+        pool.for_each_entry([&](const store::CachePool::Entry& e) {
+          rebuilt[e.layout_idx] = e.bytes;
+        });
         shadow = std::move(rebuilt);
         ASSERT_GE(pool.free_bytes() + 0, 0u);
         break;
@@ -470,14 +472,15 @@ TEST(PropertyCachePool, InvariantsHoldUnderRandomOps) {
     std::uint64_t sum = 0;
     std::uint64_t prev = 0;
     bool first = true;
-    for (const auto& e : pool.entries()) {
+    pool.for_each_entry([&](const store::CachePool::Entry& e) {
       sum += e.bytes;
       if (!first) {
-        ASSERT_GT(e.layout_idx, prev) << "entries must be sorted";
+        EXPECT_GT(e.layout_idx, prev) << "entries must be sorted";
       }
       prev = e.layout_idx;
       first = false;
-    }
+    });
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "op " << op;
     ASSERT_EQ(sum, pool.used()) << "op " << op;
     ASSERT_EQ(pool.tile_count(), shadow.size()) << "op " << op;
   }

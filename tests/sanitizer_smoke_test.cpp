@@ -104,9 +104,10 @@ TEST(SanitizerSmoke, AsyncEngineConcurrentSubmitAndPoll) {
 //
 // CachePool is thread-compatible, not thread-safe: the engine serializes
 // access. This test reproduces that discipline (one mutex) while hammering
-// insert/erase/evict_lru/entries from N threads — ASan checks the copy
-// churn for buffer errors, TSan checks that the locking really covers every
-// access including reads through the entries() snapshot.
+// insert_pinned/erase/evict_lru/for_each_entry from N threads — ASan checks
+// the pin churn (each owning buffer freed as its last pin drops) for buffer
+// errors, TSan checks that the locking really covers every access including
+// reads through for_each_entry.
 
 TEST(SanitizerSmoke, CachePoolConcurrentChurn) {
   store::CachePool pool(/*budget=*/64 << 10);
@@ -123,7 +124,7 @@ TEST(SanitizerSmoke, CachePoolConcurrentChurn) {
         std::lock_guard<std::mutex> lock(mu);
         switch (rng.next_below(4)) {
           case 0:
-            pool.insert(idx, payload.data(), bytes);
+            pool.insert_pinned(idx, gstore::testing::pin_copy(payload), bytes);
             break;
           case 1:
             pool.erase(idx);
@@ -132,13 +133,13 @@ TEST(SanitizerSmoke, CachePoolConcurrentChurn) {
             pool.evict_lru(bytes);
             break;
           default:
-            for (const auto& e : pool.entries()) {
+            pool.for_each_entry([&](const store::CachePool::Entry& e) {
               ASSERT_LE(e.bytes, payload.size());
               if (e.bytes > 0) {  // every cached byte must match its tile id
                 ASSERT_EQ(e.data[e.bytes - 1],
                           static_cast<std::uint8_t>(e.layout_idx));
               }
-            }
+            });
         }
       }
     });

@@ -8,10 +8,13 @@
 #include "store/caching_policy.h"
 #include "store/memory_budget.h"
 #include "store/segment.h"
+#include "test_util.h"
 #include "util/status.h"
 
 namespace gstore::store {
 namespace {
+
+using gstore::testing::pin_copy;
 
 std::vector<std::uint8_t> bytes(std::size_t n, std::uint8_t fill) {
   return std::vector<std::uint8_t>(n, fill);
@@ -73,7 +76,7 @@ TEST(Segment, EnsureCapacityGrowsForOversizedTile) {
 TEST(CachePool, InsertWithinBudget) {
   CachePool pool(100);
   const auto d = bytes(40, 1);
-  EXPECT_TRUE(pool.insert(7, d.data(), d.size()));
+  EXPECT_TRUE(pool.insert_pinned(7, pin_copy(d), d.size()));
   EXPECT_TRUE(pool.contains(7));
   EXPECT_EQ(pool.used(), 40u);
   EXPECT_EQ(pool.free_bytes(), 60u);
@@ -82,8 +85,8 @@ TEST(CachePool, InsertWithinBudget) {
 TEST(CachePool, RejectsWhenFull) {
   CachePool pool(50);
   const auto d = bytes(40, 1);
-  EXPECT_TRUE(pool.insert(1, d.data(), d.size()));
-  EXPECT_FALSE(pool.insert(2, d.data(), d.size()));
+  EXPECT_TRUE(pool.insert_pinned(1, pin_copy(d), d.size()));
+  EXPECT_FALSE(pool.insert_pinned(2, pin_copy(d), d.size()));
   EXPECT_FALSE(pool.contains(2));
 }
 
@@ -91,18 +94,20 @@ TEST(CachePool, ReplaceSameTile) {
   CachePool pool(100);
   const auto a = bytes(40, 1);
   const auto b = bytes(60, 2);
-  EXPECT_TRUE(pool.insert(3, a.data(), a.size()));
-  EXPECT_TRUE(pool.insert(3, b.data(), b.size()));
+  EXPECT_TRUE(pool.insert_pinned(3, pin_copy(a), a.size()));
+  EXPECT_TRUE(pool.insert_pinned(3, pin_copy(b), b.size()));
   EXPECT_EQ(pool.used(), 60u);
   EXPECT_EQ(pool.tile_count(), 1u);
-  EXPECT_EQ(pool.entries()[0].bytes, 60u);
-  EXPECT_EQ(pool.entries()[0].data[0], 2);
+  pool.for_each_entry([](const CachePool::Entry& e) {
+    EXPECT_EQ(e.bytes, 60u);
+    EXPECT_EQ(e.data[0], 2);
+  });
 }
 
 TEST(CachePool, EraseFreesBudget) {
   CachePool pool(100);
   const auto d = bytes(70, 1);
-  pool.insert(1, d.data(), d.size());
+  pool.insert_pinned(1, pin_copy(d), d.size());
   EXPECT_EQ(pool.erase(1), 70u);
   EXPECT_EQ(pool.erase(1), 0u);
   EXPECT_EQ(pool.used(), 0u);
@@ -111,10 +116,11 @@ TEST(CachePool, EraseFreesBudget) {
 TEST(CachePool, EntriesInLayoutOrder) {
   CachePool pool(1000);
   const auto d = bytes(10, 0);
-  pool.insert(9, d.data(), d.size());
-  pool.insert(2, d.data(), d.size());
-  pool.insert(5, d.data(), d.size());
-  const auto entries = pool.entries();
+  pool.insert_pinned(9, pin_copy(d), d.size());
+  pool.insert_pinned(2, pin_copy(d), d.size());
+  pool.insert_pinned(5, pin_copy(d), d.size());
+  std::vector<CachePool::Entry> entries;
+  pool.for_each_entry([&](const CachePool::Entry& e) { entries.push_back(e); });
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_EQ(entries[0].layout_idx, 2u);
   EXPECT_EQ(entries[1].layout_idx, 5u);
@@ -124,9 +130,9 @@ TEST(CachePool, EntriesInLayoutOrder) {
 TEST(CachePool, LruEvictionEvictsColdest) {
   CachePool pool(100);
   const auto d = bytes(30, 0);
-  pool.insert(1, d.data(), d.size());
-  pool.insert(2, d.data(), d.size());
-  pool.insert(3, d.data(), d.size());
+  pool.insert_pinned(1, pin_copy(d), d.size());
+  pool.insert_pinned(2, pin_copy(d), d.size());
+  pool.insert_pinned(3, pin_copy(d), d.size());
   pool.touch(1);  // 2 is now coldest
   pool.evict_lru(30);
   EXPECT_TRUE(pool.contains(1));
@@ -137,15 +143,17 @@ TEST(CachePool, LruEvictionEvictsColdest) {
 TEST(CachePool, DataIsCopied) {
   CachePool pool(100);
   auto d = bytes(8, 0xaa);
-  pool.insert(0, d.data(), d.size());
+  pool.insert_pinned(0, pin_copy(d), d.size());
   d[0] = 0x00;  // mutate the source after insertion
-  EXPECT_EQ(pool.entries()[0].data[0], 0xaa);
+  ASSERT_EQ(pool.tile_count(), 1u);
+  pool.for_each_entry(
+      [](const CachePool::Entry& e) { EXPECT_EQ(e.data[0], 0xaa); });
 }
 
 TEST(CachePool, ZeroBudgetAcceptsNothing) {
   CachePool pool(0);
   const auto d = bytes(1, 0);
-  EXPECT_FALSE(pool.insert(0, d.data(), d.size()));
+  EXPECT_FALSE(pool.insert_pinned(0, pin_copy(d), d.size()));
 }
 
 // ---- zero-copy pinning ------------------------------------------------------
@@ -207,19 +215,11 @@ TEST(CachePool, InsertPinnedIsZeroCopy) {
   std::memset(s.slot_data(s.slots()[0]), 0x7e, 16);
   CachePool pool(100);
   EXPECT_TRUE(pool.insert_pinned(4, s.pin_slot(s.slots()[0]), 16));
-  EXPECT_EQ(pool.bytes_copied(), 0u);
   EXPECT_EQ(pool.used(), 16u);
+  ASSERT_EQ(pool.tile_count(), 1u);
   // Zero-copy means the pool serves the segment's own bytes.
-  EXPECT_EQ(pool.entries()[0].data, s.data());
-}
-
-TEST(CachePool, BytesCopiedCountsCopyingInserts) {
-  CachePool pool(100);
-  const auto d = bytes(8, 1);
-  EXPECT_TRUE(pool.insert(0, d.data(), d.size()));
-  EXPECT_EQ(pool.bytes_copied(), 8u);
-  EXPECT_TRUE(pool.insert(1, d.data(), d.size()));
-  EXPECT_EQ(pool.bytes_copied(), 16u);
+  pool.for_each_entry(
+      [&](const CachePool::Entry& e) { EXPECT_EQ(e.data, s.data()); });
 }
 
 TEST(CachePool, ErasedPinReleasesBuffer) {
@@ -233,19 +233,23 @@ TEST(CachePool, ErasedPinReleasesBuffer) {
   EXPECT_EQ(s.buffer_refreshes(), 0u);
 }
 
+// for_each_entry reports exactly the inserted entries, in layout order, each
+// pointing at the bytes its pin holds.
 TEST(CachePool, ForEachEntryMatchesEntries) {
   CachePool pool(1000);
   const auto d = bytes(10, 3);
-  pool.insert(9, d.data(), d.size());
-  pool.insert(2, d.data(), d.size());
+  const BufferPin nine = pin_copy(d);
+  const BufferPin two = pin_copy(d);
+  pool.insert_pinned(9, nine, d.size());
+  pool.insert_pinned(2, two, d.size());
   std::vector<CachePool::Entry> seen;
   pool.for_each_entry([&](const CachePool::Entry& e) { seen.push_back(e); });
-  const auto snapshot = pool.entries();
-  ASSERT_EQ(seen.size(), snapshot.size());
+  const CachePool::Entry want[] = {{2, two.get(), 10}, {9, nine.get(), 10}};
+  ASSERT_EQ(seen.size(), 2u);
   for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].layout_idx, snapshot[i].layout_idx);
-    EXPECT_EQ(seen[i].data, snapshot[i].data);
-    EXPECT_EQ(seen[i].bytes, snapshot[i].bytes);
+    EXPECT_EQ(seen[i].layout_idx, want[i].layout_idx);
+    EXPECT_EQ(seen[i].data, want[i].data);
+    EXPECT_EQ(seen[i].bytes, want[i].bytes);
   }
 }
 
@@ -290,12 +294,11 @@ TEST(CachingPolicy, LruAlwaysCachesAndEvicts) {
   algo.useful_rows = {99};  // LRU ignores the oracle
   CachePool pool(50);
   const auto d = bytes(40, 0);
-  pool.insert(1, d.data(), d.size());
+  pool.insert_pinned(1, pin_copy(d), d.size());
   tile::Grid grid(256, false, 4, 1);
   p->admit(pool, segment_of({2}, 40), grid, algo);
   EXPECT_EQ(pool.tile_count(), 1u);
   EXPECT_TRUE(pool.contains(2));
-  EXPECT_EQ(pool.bytes_copied(), 40u);  // only the copying setup insert
 }
 
 TEST(CachingPolicy, ProactiveConsultsOracle) {
@@ -319,7 +322,7 @@ TEST(CachingPolicy, ProactiveAnalyzeEvictsRuledOutTiles) {
   const auto d = bytes(10, 0);
   // Insert tiles from rows 0..7 (layout index of (i,0) in a p=8 full grid).
   for (std::uint32_t i = 0; i < 8; ++i)
-    pool.insert(grid.layout_index(i, 0), d.data(), d.size());
+    pool.insert_pinned(grid.layout_index(i, 0), pin_copy(d), d.size());
   algo.useful_rows = {1, 4};
   p->analyze(pool, grid, algo);
   EXPECT_EQ(pool.tile_count(), 2u);
@@ -333,9 +336,9 @@ TEST(CachingPolicy, ProactiveAdmitOnlyDropsUseless) {
   tile::Grid grid(16 * 4, false, 4, 1);
   CachePool pool(30);
   const auto d = bytes(10, 0);
-  pool.insert(grid.layout_index(0, 0), d.data(), d.size());
-  pool.insert(grid.layout_index(1, 0), d.data(), d.size());
-  pool.insert(grid.layout_index(2, 0), d.data(), d.size());
+  pool.insert_pinned(grid.layout_index(0, 0), pin_copy(d), d.size());
+  pool.insert_pinned(grid.layout_index(1, 0), pin_copy(d), d.size());
+  pool.insert_pinned(grid.layout_index(2, 0), pin_copy(d), d.size());
   const std::uint64_t incoming = grid.layout_index(3, 0);
   algo.useful_rows = {0, 1, 2, 3};  // everything still useful
   p->admit(pool, segment_of({incoming}, 10), grid, algo);
@@ -357,7 +360,7 @@ TEST(CachingPolicy, ProactiveAdmitScansPoolOncePerStep) {
   CachePool pool(40);
   const auto d = bytes(10, 0);
   for (std::uint32_t i = 0; i < 4; ++i)
-    pool.insert(grid.layout_index(i, 0), d.data(), d.size());
+    pool.insert_pinned(grid.layout_index(i, 0), pin_copy(d), d.size());
   const auto seg = segment_of(
       {grid.layout_index(4, 0), grid.layout_index(5, 0),
        grid.layout_index(6, 0), grid.layout_index(7, 0)},

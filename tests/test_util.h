@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "io/file.h"
 #include "store/algorithm.h"
 #include "store/scr_engine.h"
+#include "store/segment.h"
 #include "tile/convert.h"
 #include "tile/edge_block.h"
 #include "tile/tile_file.h"
@@ -30,6 +32,13 @@ inline tile::TileStore make_store(const io::TempDir& dir,
   const std::string base = dir.file(name);
   tile::convert_to_tiles(el, base, opts);
   return tile::TileStore::open(base, dev);
+}
+
+// Pins an owning copy of `bytes`: how tests put data into a CachePool,
+// whose only way in is insert_pinned.
+inline store::BufferPin pin_copy(const std::vector<std::uint8_t>& bytes) {
+  const auto owner = std::make_shared<const std::vector<std::uint8_t>>(bytes);
+  return store::BufferPin(owner, owner->data());
 }
 
 // Decodes every edge of every tile back to global coordinates.
