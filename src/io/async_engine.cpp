@@ -104,8 +104,7 @@ struct AsyncEngine::Impl {
         }
         // Short read. Distinguish EOF (legitimate: the caller asked past
         // the end) from a mid-file truncation the source may yet serve.
-        if (!retry.resubmit_short_reads ||
-            req.offset + done >= req.file->size()) {
+        if (req.offset + done >= req.file->size()) {
           c.bytes = done;
           c.ok = true;
           return c;

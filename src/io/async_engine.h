@@ -39,15 +39,13 @@ ErrnoClass classify_errno(int err) noexcept;
 // the thread executing the request (an I/O worker, or the caller of
 // execute()), so submitters and pollers never see a transient failure at
 // all — only requests that exhausted their budget complete with ok == false.
+// A short read before EOF is not an error: its missing tail is resubmitted
+// (offset, length and buffer advanced past the delivered bytes).
 struct RetryPolicy {
   int max_retries = 4;         // budget for kTransient failures
   int max_interrupts = 256;    // budget for kInterrupted storms
   double backoff_initial_ms = 1.0;   // doubles per transient retry...
   double backoff_max_ms = 100.0;     // ...capped here
-  // Short reads before EOF are resubmitted for the missing tail (offset,
-  // length and buffer advanced past the delivered bytes). Off = a short
-  // read completes as-is, like plain pread(2).
-  bool resubmit_short_reads = true;
 };
 
 // Recovery counters, aggregated across all requests since construction.

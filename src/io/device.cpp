@@ -7,6 +7,9 @@
 namespace gstore::io {
 
 namespace {
+// I/O worker threads per device (the paper's AIO threads).
+constexpr std::size_t kIoWorkers = 4;
+
 std::uint64_t aggregate_bw(const DeviceConfig& c) {
   return c.devices == 0 ? 0 : c.devices * c.per_device_bw;
 }
@@ -33,7 +36,7 @@ Device::Device(const std::string& path, DeviceConfig config)
       source_(open_source(path, config)),
       throttle_(aggregate_bw(config), config.burst_bytes),
       slow_throttle_(config.slow_tier_bw, config.burst_bytes),
-      engine_(config.backend, config.queue_depth, config.io_workers,
+      engine_(config.backend, config.queue_depth, kIoWorkers,
               config.retry) {}
 
 void Device::set_tier_map(TierMap map) {

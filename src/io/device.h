@@ -37,7 +37,6 @@ struct DeviceConfig {
   std::uint64_t stripe_bytes = 64 << 10;  // the paper's 64KB stripes
   Backend backend = Backend::kThreadPool;
   std::size_t queue_depth = 128;
-  std::size_t io_workers = 4;
   bool direct = false;  // request O_DIRECT where the filesystem allows it
   // Bounded-retry contract the async engine applies to every read,
   // synchronous or batched. See io/async_engine.h.

@@ -290,33 +290,4 @@ class CondVar {
   std::condition_variable cv_;
 };
 
-// One-time initialization. Wraps std::once_flag/std::call_once so callers
-// outside this component never touch the raw primitives (lint rule R4):
-// the std versions are invisible to both the thread-safety analysis and
-// gstore-lint's lock modeling, and their exception semantics (a throwing
-// callable re-arms the flag) deserve one documented home.
-//
-// call_once blocks other callers for the duration of `fn`; treat the
-// callable like a critical section (no I/O, no long work) — gstore-lint
-// GL1 sees through it the same way it sees through MutexLock scopes.
-class OnceFlag {
- public:
-  OnceFlag() = default;
-  OnceFlag(const OnceFlag&) = delete;
-  OnceFlag& operator=(const OnceFlag&) = delete;
-
-  template <typename Fn, typename... Args>
-  void call_once(Fn&& fn, Args&&... args) {
-    std::call_once(flag_, std::forward<Fn>(fn), std::forward<Args>(args)...);
-  }
-
- private:
-  std::once_flag flag_;
-};
-
-template <typename Fn, typename... Args>
-void call_once(OnceFlag& flag, Fn&& fn, Args&&... args) {
-  flag.call_once(std::forward<Fn>(fn), std::forward<Args>(args)...);
-}
-
 }  // namespace gstore

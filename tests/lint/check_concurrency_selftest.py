@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """check_concurrency.py self-test, exercising the R4 ban list (including
-the PR-6 additions: timed/recursive mutexes, once_flag/call_once, and the
-bare std::lock/std::try_lock algorithms) plus one fixture per other rule
-(R7, the detached-thread ban, arrived with gstore_serve in PR 7).
+timed/recursive mutexes, once_flag/call_once, and the bare
+std::lock/std::try_lock algorithms), one fixture per other rule, and R6
+hidden in a macro's _Pragma operator.
 
     python3 tests/lint/check_concurrency_selftest.py <repo_root>
 
@@ -33,7 +33,8 @@ R4_BANNED_LINES = [
     "void d() { std::lock_guard<std::mutex> g(plain_mu); }",
     "#include <mutex>",
 ]
-# Wrapper idioms and lookalikes the ban must NOT catch.
+# Wrapper idioms and lookalikes the ban must NOT catch. The gstore:: names
+# need not exist: these lines test the regex, which keys on std::.
 R4_CLEAN_LINES = [
     "gstore::OnceFlag flag;",
     "void a() { gstore::call_once(flag, []{}); }",
@@ -41,6 +42,13 @@ R4_CLEAN_LINES = [
     "int lock(int);                 // free function named lock",
     "int e(int x) { return lock(x); }",
     "struct W { void unlock(); };   // member named like the protocol",
+]
+# R6 inside a _Pragma operand (banned, line 1) beside a chunked schedule
+# and a plain literal that must both stay clean.
+R6_PRAGMA_LINES = [
+    '#define GS_PAR _Pragma("omp parallel for schedule(dynamic, 1)")',
+    '#define GS_CHUNKED _Pragma("omp parallel for schedule(dynamic)")',
+    'const char* doc = "not schedule(dynamic, 1)";',
 ]
 
 
@@ -107,6 +115,18 @@ def main() -> int:
         for rule in ("R1", "R2", "R3", "R5", "R6", "R7"):
             if f" {rule}: " not in out:
                 failures.append(f"rule {rule} did not fire\n{out}")
+
+        # A macro's _Pragma operand: strip_strings blanks literals, so the
+        # lint must read the operand itself.
+        pragma = tree / "pragma" / "src" / "store" / "par.h"
+        pragma.parent.mkdir(parents=True)
+        pragma.write_text("\n".join(R6_PRAGMA_LINES) + "\n")
+        rc, out = run_lint(cc, tree / "pragma")
+        flagged = [n for n in range(1, len(R6_PRAGMA_LINES) + 1)
+                   if f"par.h:{n}: R6:" in out]
+        if rc != 1 or flagged != [1]:
+            failures.append(f"_Pragma set: expected exit 1 and R6 on line "
+                            f"1 only, got exit {rc}\n{out}")
 
         # Joined threads (and a member merely named detach-ish) stay clean.
         joined = tree / "joined" / "src" / "threads.cpp"

@@ -67,13 +67,10 @@ def write_compdb(tmp: Path, root: Path, cxx: str,
     return path
 
 
-def run_lint(root: Path, compdb: Path, files: list[str],
-             frontend: str | None = None) -> tuple[int, str]:
+def run_lint(root: Path, compdb: Path, files: list[str]) -> tuple[int, str]:
     cmd = [sys.executable, str(root / "tools" / "gstore_lint"),
            "--compdb", str(compdb), "--root", str(root),
            "--gl4-all", "--files", *files]
-    if frontend:
-        cmd += ["--frontend", frontend]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -82,8 +79,6 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("root", type=Path)
     ap.add_argument("--cxx", default="c++")
-    ap.add_argument("--frontend", default=None,
-                    help="forwarded to gstore_lint (gcc | clang | auto)")
     args = ap.parse_args()
     root = args.root.resolve()
     fixdir = root / "tests" / "lint" / "fixtures"
@@ -100,7 +95,7 @@ def main() -> int:
 
         # Flagged set: the linter must exit 1 and each fixture must carry
         # its own tag — firing on the wrong file doesn't count.
-        rc, out = run_lint(root, compdb, sorted(FLAGGED), args.frontend)
+        rc, out = run_lint(root, compdb, sorted(FLAGGED))
         if rc != 1:
             failures.append(f"flagged set: expected exit 1, got {rc}\n{out}")
         for name, tags in sorted(FLAGGED.items()):
@@ -111,7 +106,7 @@ def main() -> int:
                     failures.append(f"{name}: no [{tag}] finding\n{out}")
 
         # Waived set: identical violations under audited waivers -> clean.
-        rc, out = run_lint(root, compdb, WAIVED, args.frontend)
+        rc, out = run_lint(root, compdb, WAIVED)
         if rc != 0:
             failures.append(f"waived set: expected exit 0, got {rc}\n{out}")
 

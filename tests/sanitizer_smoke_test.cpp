@@ -1,9 +1,9 @@
 // Concurrency smoke test, written to be run under TSan/ASan (the sanitizer
 // presets) but cheap enough for tier-1. Each test drives one of the shared
 // structures the SCR/AIO core races on — async-engine submit/reap, the
-// cache pool's insert/evict churn, throttle reconfiguration, thread-pool
-// load — from N real threads, so the sanitizer watches actual cross-thread
-// handoffs rather than single-threaded logic.
+// cache pool's insert/evict churn, throttle reconfiguration — from N real
+// threads, so the sanitizer watches actual cross-thread handoffs rather
+// than single-threaded logic.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +24,6 @@
 #include "store/scr_engine.h"
 #include "test_util.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace gstore {
 namespace {
@@ -169,24 +168,6 @@ TEST(SanitizerSmoke, ThrottleSetRateRacesAcquire) {
   stop.store(true, std::memory_order_release);
   for (auto& t : acquirers) t.join();
   EXPECT_FALSE(throttle.enabled());
-}
-
-// ---- thread pool: concurrent parallel_for callers --------------------------
-
-TEST(SanitizerSmoke, ThreadPoolConcurrentParallelFor) {
-  ThreadPool pool(kThreads);
-  std::vector<std::atomic<int>> hits(4096);
-  std::vector<std::thread> callers;
-  for (int t = 0; t < 3; ++t) {
-    callers.emplace_back([&] {
-      pool.parallel_for(
-          hits.size(),
-          [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
-          /*grain=*/17);
-    });
-  }
-  for (auto& t : callers) t.join();
-  for (auto& h : hits) EXPECT_EQ(h.load(), 3);
 }
 
 // ---- full engine pass: SCR segment handoff under the async backend ---------

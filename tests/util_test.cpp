@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "util/aligned_buffer.h"
@@ -10,7 +9,6 @@
 #include "util/options.h"
 #include "util/rng.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace gstore {
@@ -268,79 +266,6 @@ TEST(Timer, AccumTimerSumsIntervals) {
   EXPECT_GE(t.seconds(), 0.0);
   t.clear();
   EXPECT_DOUBLE_EQ(t.seconds(), 0.0);
-}
-
-// ---- thread pool -------------------------------------------------------
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 32; ++i)
-    futs.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { ++hits[i]; }, 7);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, SubmitPropagatesException) {
-  ThreadPool pool(1);
-  auto fut = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [](std::size_t i) {
-                                   if (i == 50) throw Error("halt");
-                                 }),
-               Error);
-}
-
-TEST(ThreadPool, DefaultsToAtLeastOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-// Regression: several workers throw at once. The first exception captured
-// must be rethrown exactly once and the rest discarded without racing on the
-// shared exception slot (this is the case TSan flagged before parallel_for
-// used call_once + a release/acquire failure flag).
-TEST(ThreadPool, ParallelForManyConcurrentThrowers) {
-  ThreadPool pool(4);
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int> ran{0};
-    try {
-      pool.parallel_for(
-          400,
-          [&](std::size_t i) {
-            ran.fetch_add(1, std::memory_order_relaxed);
-            throw Error("worker " + std::to_string(i));
-          },
-          /*grain=*/1);
-      FAIL() << "parallel_for swallowed the exceptions";
-    } catch (const Error& e) {
-      // Whichever worker won, the message must be one we actually threw.
-      EXPECT_NE(std::string(e.what()).find("worker "), std::string::npos);
-    }
-    EXPECT_GT(ran.load(), 0);
-    // The pool must still be usable after an aborted parallel_for.
-    std::atomic<bool> alive{false};
-    pool.submit([&] { alive.store(true); }).get();
-    EXPECT_TRUE(alive.load());
-  }
 }
 
 TEST(Dcheck, EnabledMatchesBuildMode) {

@@ -45,7 +45,8 @@ R6 per-item dynamic scheduling.
    either pure scheduling overhead (swarms of near-empty tiles) or load
    imbalance with nothing to steal (one hub tile per item). Chunk by cost
    first (see cost_chunks in src/store/chunking.h) and use
-   schedule(dynamic) over the chunks.
+   schedule(dynamic) over the chunks. The clause is matched inside
+   `_Pragma("...")` operators too, so a macro cannot hide it.
 
 R7 detached threads.
    `.detach()` is banned in src/: a detached thread outlives every owner,
@@ -75,8 +76,8 @@ ALIGNED_BUFFER_2ARG = re.compile(r"AlignedBuffer\s*\(([^(),]+),([^()]+)\)")
 # R4: raw standard synchronization primitives (types, helpers, includes).
 # once_flag/call_once and the bare std::lock/std::try_lock algorithms are
 # banned alongside the lock types: they take locks invisibly to both the
-# thread-safety analysis and gstore-lint's lock modeling (use the
-# gstore::OnceFlag / gstore::call_once wrappers from util/sync.h).
+# thread-safety analysis and gstore-lint's lock modeling (one-time init is
+# a function-local static, which the language already initializes once).
 RAW_SYNC = re.compile(
     r"std::(mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
     r"shared_mutex|shared_timed_mutex|condition_variable(?:_any)?|"
@@ -88,8 +89,10 @@ SYNC_COMPONENT = ("src/util/sync.h", "src/util/sync.cpp")
 # R5: escape hatch + its justification marker.
 NO_TSA = "GSTORE_NO_THREAD_SAFETY_ANALYSIS"
 SAFETY_MARK = re.compile(r"//.*\bSAFETY:")
-# R6: one-work-item-per-dispatch OpenMP scheduling.
+# R6: one-work-item-per-dispatch OpenMP scheduling, and the string operand
+# of a _Pragma operator, which strip_strings would blank out.
 DYNAMIC_ONE = re.compile(r"schedule\s*\(\s*dynamic\s*,\s*1\s*\)")
+PRAGMA_OPERAND = re.compile(r'_Pragma\s*\(\s*"((?:[^"\\]|\\.)*)"\s*\)')
 # R7: fire-and-forget threads.
 DETACH = re.compile(r"\.\s*detach\s*\(\s*\)")
 MEMBER_DECL = re.compile(
@@ -176,7 +179,8 @@ def main(root: Path) -> int:
         is_sync_component = rel in SYNC_COMPONENT
         lines = path.read_text().splitlines()
         for lineno, raw in enumerate(lines, start=1):
-            code = strip_strings(LINE_COMMENT.sub("", raw))
+            uncommented = LINE_COMMENT.sub("", raw)
+            code = strip_strings(uncommented)
             if not code.strip():
                 continue
             # A declaration's default initializer (`= 0`) is not a write.
@@ -238,7 +242,9 @@ def main(root: Path) -> int:
                             f"comment in the preceding 3 lines"
                         )
 
-            if DYNAMIC_ONE.search(code):
+            if DYNAMIC_ONE.search(code) or any(
+                    DYNAMIC_ONE.search(operand)
+                    for operand in PRAGMA_OPERAND.findall(uncommented)):
                 findings.append(
                     f"{path}:{lineno}: R6: schedule(dynamic, 1) — chunk work "
                     f"items by cost and use schedule(dynamic) over the "

@@ -1,6 +1,6 @@
 """gstore_lint: AST-grade domain-invariant static analysis for G-Store.
 
-Five domain checks (GL1..GL5) plus AST-grade versions of the
+Seven domain checks (GL1..GL7) plus AST-grade versions of the
 check_concurrency.py rules R1 and R4, computed over real compiler ASTs
 rather than source text:
 
@@ -17,16 +17,17 @@ rather than source text:
   GL5 unwind noexcept       everything reachable from drain()/quiesce() on
                             the unwind path must be noexcept or shielded by
                             catch(...).
+  GL6 untrusted-byte taint  whole-program: untrusted bytes must pass a
+                            sanitizer before reaching a size, index, I/O
+                            length, shift or loop bound.
+  GL7 lock order            the global lock-acquisition graph must be
+                            acyclic.
 
-Two frontends lower translation units into the same event IR
-(gstore_lint.model):
-
-  * clangfront  — libclang python bindings (clang.cindex), per the original
-                  design. Used when importable.
-  * gccfront    — GCC GENERIC tree dumps (-fdump-tree-original-raw-lineno),
-                  requiring nothing beyond the project's own compiler. This
-                  is the reference frontend on gcc-only machines and in CI
-                  images without libclang.
+One frontend lowers each translation unit into the event IR
+(gstore_lint.model): gccfront reads the GCC GENERIC tree dump
+(-fdump-tree-original-raw-lineno) of the TU's own compile command, and
+gimplepatch recovers the bodies that dump truncates from the GIMPLE dump
+of the same compile. It needs nothing beyond the project's own compiler.
 
 Findings are grep-style `file:line: [GLn] message`; exit status is 0 when
 clean, 1 with findings, 2 on usage/environment errors. Waivers are audited

@@ -75,10 +75,10 @@ def _normalize(fn: FnModel, directory: str, tu_file: str,
     return fn
 
 
-def _lower_tu_gcc(entry: compdb.Entry,
-                  index: dict[str, list[str]],
-                  cache_dir: str | None = None) -> tuple[str, list[FnModel],
-                                                         str]:
+def _lower_tu(entry: compdb.Entry,
+              index: dict[str, list[str]],
+              cache_dir: str | None = None) -> tuple[str, list[FnModel], str]:
+    """Lowers one TU through its GCC GENERIC + GIMPLE tree dumps."""
     ck = None
     if cache_dir:
         ck = dumpcache.key(entry.args, entry.directory)
@@ -184,21 +184,6 @@ def _resolve_gimple_calls(program: Program) -> None:
         fn.taints = taints
 
 
-def _pick_frontend(requested: str, index: dict[str, list[str]],
-                   cache_dir: str | None = None):
-    if requested in ("clang", "auto"):
-        try:
-            from gstore_lint import clangfront
-            if clangfront.available():
-                return "clang", clangfront.lower_tu
-        except Exception:
-            pass
-        if requested == "clang":
-            return None, None
-    return "gcc", functools.partial(_lower_tu_gcc, index=index,
-                                    cache_dir=cache_dir)
-
-
 def _annotated_members(root: Path) -> dict[str, str]:
     """cross-thread-annotated member name -> declaring file stem, reusing
     the textual finder from check_concurrency.py (comments do not exist in
@@ -238,16 +223,13 @@ def main(argv: list[str] | None = None) -> int:
                     help="treat every TU as a parser TU for GL4 (fixtures)")
     ap.add_argument("--jobs", type=int, default=0,
                     help="parallel TU compiles (default: cpu count)")
-    ap.add_argument("--frontend", choices=["auto", "gcc", "clang"],
-                    default="auto")
     ap.add_argument("--format", choices=["text", "json"], default="text",
                     help="findings output: human text (default) or a JSON "
                          "array with stable IDs and traces")
     ap.add_argument("--cache-dir", default=None,
                     help="cache per-TU lowering results here, keyed by "
-                         "command + include-closure content hash (GCC "
-                         "frontend only; the whole-program checks still "
-                         "run every time)")
+                         "command + include-closure content hash (the "
+                         "whole-program checks still run every time)")
     ap.add_argument("--list-waivers", action="store_true",
                     help="print every GL-SAFE waiver in analyzed files")
     ap.add_argument("-v", "--verbose", action="store_true")
@@ -282,15 +264,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     index = _file_index(root)
-    frontend, lower_tu = _pick_frontend(args.frontend, index,
-                                        cache_dir=args.cache_dir)
-    if frontend is None:
-        print("gstore_lint: --frontend clang requested but clang.cindex "
-              "is unavailable", file=sys.stderr)
-        return 2
+    lower_tu = functools.partial(_lower_tu, index=index,
+                                 cache_dir=args.cache_dir)
     if args.verbose:
-        print(f"gstore_lint: frontend={frontend}, {len(entries)} TU(s)",
-              file=sys.stderr)
+        print(f"gstore_lint: {len(entries)} TU(s)", file=sys.stderr)
 
     jobs = args.jobs or min(len(entries), os.cpu_count() or 1)
     program = Program()

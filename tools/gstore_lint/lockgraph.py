@@ -1,6 +1,6 @@
 """GL7: static lock-order graph over gstore guard acquisitions.
 
-The frontends emit an AcquireEvent per guard construction (lock identity
+The frontend emits an AcquireEvent per guard construction (lock identity
 plus the identities lexically held at that point) and stamp every
 CallEvent with the identities held at the call site. This module builds
 the global order graph:

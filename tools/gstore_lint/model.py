@@ -1,9 +1,9 @@
-"""Frontend-neutral event IR.
+"""The event IR between the frontend and the checks.
 
-Both frontends (gccfront, clangfront) lower each function body into a
-FnModel: a qualified identity plus flat, evaluation-ordered event lists.
-Checks consume only this IR, so their semantics cannot drift between
-frontends.
+The frontend (gccfront, with gimplepatch for truncated bodies) lowers
+each function body into a FnModel: a qualified identity plus flat,
+evaluation-ordered event lists. Checks consume only this IR, never the
+dumps themselves.
 
 Function identity is `qualified::name(param-fingerprint)`. Call events
 carry the same key form for resolved callees, which is what stitches the

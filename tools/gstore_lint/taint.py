@@ -1,6 +1,6 @@
 """GL6: whole-program taint of untrusted bytes.
 
-The frontends emit per-function TaintEvents (see model.TaintEvent for the
+The frontend emits per-function TaintEvents (see model.TaintEvent for the
 atom grammar); this module runs the interprocedural fixpoint over the
 merged Program and turns tainted-atom-reaches-sink into findings.
 

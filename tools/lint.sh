@@ -10,8 +10,8 @@
 # unconditionally and the script exits nonzero if ANY stage failed.
 #
 # Stages:
-#   1. tools/check_concurrency.py  — textual rules R1-R6 (no dependencies)
-#   2. tools/gstore_lint           — AST-grade GL1-GL5 + R1/R4; needs a
+#   1. tools/check_concurrency.py  — textual rules R1-R7 (no dependencies)
+#   2. tools/gstore_lint           — AST-grade GL1-GL7 + R1/R4; needs a
 #      compile_commands.json (any build*/ dir; every preset exports one).
 #      Skipped with a notice when none exists yet — CI always has one.
 #   3. clang-tidy                  — when installed; CI runs it.
