@@ -51,11 +51,12 @@ void sweep(const char* title, const graph::EdgeList& el, RunFn&& run) {
     cfg.policy = store::CachePolicyKind::kNone;  // isolate the I/O path
     cfg.rewind = false;
 
+    const io::DeviceStats start = store.device().stats();
     Timer timer;
     const store::EngineStats stats = run(store, cfg);
     const double secs = timer.seconds();
     if (base == 0) base = secs;
-    const auto dstats = store.device().stats();
+    const io::DeviceStats dstats = store.device().stats() - start;
     t.row({m.name, bench::fmt(secs), bench::fmt(base / secs) + "x",
            bench::fmt(stats.io_wait_seconds),
            dstats.submit_calls

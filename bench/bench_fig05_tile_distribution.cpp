@@ -9,7 +9,6 @@
 
 #include "bench_common.h"
 #include "tile/grouping.h"
-#include "util/histogram.h"
 
 namespace gstore {
 namespace {

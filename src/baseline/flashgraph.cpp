@@ -166,7 +166,7 @@ void FlashGraphEngine::for_active(
 FlashGraphStats FlashGraphEngine::run_bfs(graph::vid_t root,
                                           std::vector<std::int32_t>& depth_out) {
   stats_ = FlashGraphStats{};
-  adj_.reset_stats();
+  const io::DeviceStats start = adj_.stats();
   Timer t;
   depth_out.assign(vertex_count(), -1);
   depth_out[root] = 0;
@@ -187,7 +187,7 @@ FlashGraphStats FlashGraphEngine::run_bfs(graph::vid_t root,
     ++level;
     ++stats_.iterations;
   }
-  stats_.bytes_read = adj_.stats().bytes_read;
+  stats_.bytes_read = (adj_.stats() - start).bytes_read;
   stats_.elapsed_seconds = t.seconds();
   return stats_;
 }
@@ -196,7 +196,7 @@ FlashGraphStats FlashGraphEngine::run_pagerank(std::uint32_t iterations,
                                                double damping,
                                                std::vector<float>& rank_out) {
   stats_ = FlashGraphStats{};
-  adj_.reset_stats();
+  const io::DeviceStats start = adj_.stats();
   Timer t;
   const graph::vid_t n = vertex_count();
   rank_out.assign(n, 1.0f / static_cast<float>(n));
@@ -216,14 +216,14 @@ FlashGraphStats FlashGraphEngine::run_pagerank(std::uint32_t iterations,
       rank_out[v] = base + static_cast<float>(damping) * incoming[v];
     ++stats_.iterations;
   }
-  stats_.bytes_read = adj_.stats().bytes_read;
+  stats_.bytes_read = (adj_.stats() - start).bytes_read;
   stats_.elapsed_seconds = t.seconds();
   return stats_;
 }
 
 FlashGraphStats FlashGraphEngine::run_wcc(std::vector<graph::vid_t>& label_out) {
   stats_ = FlashGraphStats{};
-  adj_.reset_stats();
+  const io::DeviceStats start = adj_.stats();
   Timer t;
   const graph::vid_t n = vertex_count();
   label_out.resize(n);
@@ -252,7 +252,7 @@ FlashGraphStats FlashGraphEngine::run_wcc(std::vector<graph::vid_t>& label_out) 
     });
     ++stats_.iterations;
   }
-  stats_.bytes_read = adj_.stats().bytes_read;
+  stats_.bytes_read = (adj_.stats() - start).bytes_read;
   stats_.elapsed_seconds = t.seconds();
   return stats_;
 }

@@ -45,9 +45,6 @@ EdgeList parse_lines(std::istream& in, const TextReadOptions& options,
     // Optional trailing weight column.
     while (p < end && std::isspace(static_cast<unsigned char>(*p))) ++p;
     if (p != end) {
-      if (!options.allow_weights)
-        throw FormatError(origin + ":" + std::to_string(line_no) +
-                          ": unexpected trailing data: " + line);
       // Accept any remaining numeric token(s) (weights/timestamps); reject
       // non-numeric garbage so typos fail loudly.
       for (const char* q = p; q < end; ++q) {

@@ -2,10 +2,11 @@
 // (SNAP/KONECT-style edge lists — the distribution format of the paper's
 // Twitter/Friendster/Subdomain graphs).
 //
-// Accepted line format: `src <whitespace> dst`, one edge per line; blank
-// lines and lines starting with '#' or '%' (SNAP and MatrixMarket comment
-// styles) are skipped. Vertex ids must be non-negative integers; the vertex
-// count is max id + 1 unless a larger count is supplied.
+// Accepted line format: `src <whitespace> dst`, one edge per line, with
+// optional numeric trailing columns (weights, timestamps) that are ignored;
+// blank lines and lines starting with '#' or '%' (SNAP and MatrixMarket
+// comment styles) are skipped. Vertex ids must be non-negative integers;
+// the vertex count is max id + 1 unless a larger count is supplied.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +20,6 @@ struct TextReadOptions {
   GraphKind kind = GraphKind::kDirected;
   // Force a minimum vertex count (0 = infer from max id).
   vid_t min_vertex_count = 0;
-  // Treat the optional third column as a weight and ignore it.
-  bool allow_weights = true;
 };
 
 // Parses a whole text file; throws FormatError with a line number on

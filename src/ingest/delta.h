@@ -39,10 +39,10 @@ class DeltaBuffer final : public tile::TileOverlay {
   // Canonicalizes and buffers one edge given in original (src, dst)
   // orientation: symmetric stores get the upper-triangle tuple, full-matrix
   // undirected stores both orientations, in-edge stores the swapped tuple —
-  // exactly the converter's rules. Self loops are dropped (returns false,
-  // matching the converter's drop_self_loops default); endpoints outside the
-  // store's vertex range throw InvalidArgument (the vertex set is fixed at
-  // conversion time — see docs/INGEST.md).
+  // exactly the converter's rules. Self loops are dropped, as the converter
+  // drops them (returns false); endpoints outside the store's vertex range
+  // throw InvalidArgument (the vertex set is fixed at conversion time — see
+  // docs/INGEST.md).
   bool add(graph::Edge e);
   // Returns the number of edges accepted (self loops skipped).
   std::uint64_t add_batch(std::span<const graph::Edge> edges);

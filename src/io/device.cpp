@@ -18,10 +18,9 @@ std::unique_ptr<Source> open_source(const std::string& path,
                                     const DeviceConfig& c) {
   std::unique_ptr<Source> src;
   if (c.stripe_files > 0)
-    src = std::make_unique<StripedFile>(path, c.stripe_files, c.stripe_bytes,
-                                        c.direct);
+    src = std::make_unique<StripedFile>(path, c.stripe_files, c.stripe_bytes);
   else
-    src = std::make_unique<File>(path, OpenMode::kRead, c.direct);
+    src = std::make_unique<File>(path, OpenMode::kRead);
   if (!c.fault_spec.empty()) {
     const FaultSpec spec = FaultSpec::parse(c.fault_spec);
     if (!spec.empty())
@@ -31,23 +30,26 @@ std::unique_ptr<Source> open_source(const std::string& path,
 }
 }  // namespace
 
-Device::Device(const std::string& path, DeviceConfig config)
+DeviceStats operator-(const DeviceStats& end, const DeviceStats& start) {
+  DeviceStats d;
+  d.bytes_read = end.bytes_read - start.bytes_read;
+  d.read_ops = end.read_ops - start.read_ops;
+  d.submit_calls = end.submit_calls - start.submit_calls;
+  d.retries = end.retries - start.retries;
+  d.short_reads = end.short_reads - start.short_reads;
+  d.failed_reads = end.failed_reads - start.failed_reads;
+  d.backoff_seconds = end.backoff_seconds - start.backoff_seconds;
+  return d;
+}
+
+Device::Device(const std::string& path, DeviceConfig config, TierMap tier_map)
     : config_(config),
+      tier_map_(std::move(tier_map)),
       source_(open_source(path, config)),
       throttle_(aggregate_bw(config), config.burst_bytes),
       slow_throttle_(config.slow_tier_bw, config.burst_bytes),
       engine_(config.backend, config.queue_depth, kIoWorkers,
               config.retry) {}
-
-void Device::set_tier_map(TierMap map) {
-  WriterMutexLock lock(tier_mutex_);
-  tier_map_ = std::move(map);
-}
-
-TierMap Device::tier_map() const {
-  ReaderMutexLock lock(tier_mutex_);
-  return tier_map_;
-}
 
 void Device::route(ReadRequest& req) {
   req.file = source_.get();
@@ -55,7 +57,6 @@ void Device::route(ReadRequest& req) {
   // submit()) so emulated device time overlaps with compute, exactly like a
   // real disk.
   req.throttle = throttle_.enabled() ? &throttle_ : nullptr;
-  ReaderMutexLock lock(tier_mutex_);
   if (config_.slow_tier_bw == 0 || tier_map_.empty()) return;
   const std::uint64_t slow =
       tier_map_.split(req.offset, req.offset + req.length).second;
@@ -100,25 +101,16 @@ void Device::drain() { engine_.drain(); }
 std::size_t Device::quiesce() noexcept { return engine_.quiesce(); }
 
 DeviceStats Device::stats() const {
-  MutexLock lock(stats_mutex_);
   DeviceStats s;
-  s.bytes_read = engine_.bytes_read() - stats_bytes_base_;
+  s.bytes_read = engine_.bytes_read();
   s.read_ops = read_ops_.load(std::memory_order_relaxed);
-  s.submit_calls = engine_.submit_calls() - stats_submit_base_;
+  s.submit_calls = engine_.submit_calls();
   const RetryStats r = engine_.retry_stats();
-  s.retries = r.retries - stats_retry_base_.retries;
-  s.short_reads = r.short_reads - stats_retry_base_.short_reads;
-  s.failed_reads = r.failed_reads - stats_retry_base_.failed_reads;
-  s.backoff_seconds = r.backoff_seconds - stats_retry_base_.backoff_seconds;
+  s.retries = r.retries;
+  s.short_reads = r.short_reads;
+  s.failed_reads = r.failed_reads;
+  s.backoff_seconds = r.backoff_seconds;
   return s;
-}
-
-void Device::reset_stats() {
-  MutexLock lock(stats_mutex_);
-  stats_bytes_base_ = engine_.bytes_read();
-  stats_submit_base_ = engine_.submit_calls();
-  stats_retry_base_ = engine_.retry_stats();
-  read_ops_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace gstore::io

@@ -2,7 +2,10 @@
 //
 // Device is the single entry point the engine uses to read graph data. It
 // wires together the file, the async engine, a bandwidth throttle (for the
-// SSD-scaling experiments), and I/O statistics.
+// SSD-scaling experiments), and I/O statistics. Everything that shapes a
+// read (source, rates, tier placement) is fixed at construction, and the
+// counters only grow: a run's share is the difference of two stats()
+// snapshots.
 #pragma once
 
 #include <atomic>
@@ -15,7 +18,6 @@
 #include "io/file.h"
 #include "io/throttle.h"
 #include "io/tiering.h"
-#include "util/sync.h"
 
 namespace gstore::io {
 
@@ -27,8 +29,8 @@ struct DeviceConfig {
   std::uint64_t per_device_bw = 500ull << 20;  // 500 MB/s, SATA-SSD class
   std::uint64_t burst_bytes = 1ull << 20;      // throttle token-bucket depth
   // Tiered storage (paper §IX future work): bandwidth of the slow tier
-  // (e.g. an HDD). 0 disables tiering; byte placement comes from a TierMap
-  // installed with set_tier_map().
+  // (e.g. an HDD). 0 disables tiering; byte placement comes from the TierMap
+  // passed to the Device constructor.
   std::uint64_t slow_tier_bw = 0;
   // RAID-0 striping (the paper's testbed layout): with stripe_files > 0 the
   // device path is a striped-set base (<path>.s0 …) written by
@@ -37,7 +39,6 @@ struct DeviceConfig {
   std::uint64_t stripe_bytes = 64 << 10;  // the paper's 64KB stripes
   Backend backend = Backend::kThreadPool;
   std::size_t queue_depth = 128;
-  bool direct = false;  // request O_DIRECT where the filesystem allows it
   // Bounded-retry contract the async engine applies to every read,
   // synchronous or batched. See io/async_engine.h.
   RetryPolicy retry;
@@ -62,9 +63,16 @@ struct DeviceStats {
   double backoff_seconds = 0;
 };
 
+// Counter growth from snapshot `start` to the later snapshot `end` of the
+// same device.
+DeviceStats operator-(const DeviceStats& end, const DeviceStats& start);
+
 class Device {
  public:
-  Device(const std::string& path, DeviceConfig config = {});
+  // `tier_map` assigns byte ranges to the slow tier; it is used only when
+  // config.slow_tier_bw > 0.
+  Device(const std::string& path, DeviceConfig config = {},
+         TierMap tier_map = {});
 
   // Synchronous full read: one request, throttled and tier-routed like
   // submit()'s, run on the calling thread through the async engine's
@@ -86,39 +94,26 @@ class Device {
 
   std::uint64_t size() const { return source_->size(); }
 
+  // Counters since construction.
   DeviceStats stats() const;
-  void reset_stats();
 
   const DeviceConfig& config() const noexcept { return config_; }
-
-  // Installs the byte-range → tier assignment. Only meaningful when
-  // config.slow_tier_bw > 0. Safe to call while reads are in flight: the
-  // map is swapped under a writer lock and each read routes under a reader
-  // lock.
-  void set_tier_map(TierMap map) GSTORE_EXCLUDES(tier_mutex_);
-  // Snapshot of the installed map (by value: the member may be swapped by
-  // set_tier_map() concurrently).
-  TierMap tier_map() const GSTORE_EXCLUDES(tier_mutex_);
+  const TierMap& tier_map() const noexcept { return tier_map_; }
 
  private:
   // Points a request at this device: its source, the throttle, and the
   // slow-tier share of its bytes.
-  void route(ReadRequest& req) GSTORE_EXCLUDES(tier_mutex_);
+  void route(ReadRequest& req);
 
-  DeviceConfig config_;
+  const DeviceConfig config_;
+  const TierMap tier_map_;
   std::unique_ptr<Source> source_;
   Throttle throttle_;
   Throttle slow_throttle_;
-  mutable SharedMutex tier_mutex_{"Device::tier_mutex_"};
-  TierMap tier_map_ GSTORE_GUARDED_BY(tier_mutex_);
   AsyncEngine engine_;
   // cross-thread: TileStore advertises thread-compatible concurrent reads,
   // so the counter read()/submit() bump must be atomic.
   std::atomic<std::uint64_t> read_ops_{0};
-  mutable Mutex stats_mutex_{"Device::stats_mutex_"};
-  std::uint64_t stats_bytes_base_ GSTORE_GUARDED_BY(stats_mutex_) = 0;
-  std::uint64_t stats_submit_base_ GSTORE_GUARDED_BY(stats_mutex_) = 0;
-  RetryStats stats_retry_base_ GSTORE_GUARDED_BY(stats_mutex_);
 };
 
 }  // namespace gstore::io

@@ -25,29 +25,9 @@ int open_flags(OpenMode mode) {
 }
 }  // namespace
 
-File::File(const std::string& path, OpenMode mode, bool direct) : path_(path) {
-#ifdef GSTORE_SANITIZE_BUILD
-  // Sanitizer builds never use O_DIRECT: instrumented allocations carry
-  // redzones that break the kernel's DMA alignment contract, and bypassing
-  // the page cache hides nothing from ASan/TSan anyway. is_direct() then
-  // reports false, which is the truth.
-  direct = false;
-#endif
-  int flags = open_flags(mode);
-#ifdef O_DIRECT
-  if (direct) flags |= O_DIRECT;
-#endif
-  fd_ = ::open(path.c_str(), flags, 0644);
-#ifdef O_DIRECT
-  if (fd_ < 0 && direct && errno == EINVAL) {
-    // Filesystem (e.g. tmpfs) rejects O_DIRECT; fall back to buffered.
-    flags &= ~O_DIRECT;
-    direct = false;
-    fd_ = ::open(path.c_str(), flags, 0644);
-  }
-#endif
+File::File(const std::string& path, OpenMode mode) : path_(path) {
+  fd_ = ::open(path.c_str(), open_flags(mode), 0644);
   if (fd_ < 0) throw IoError("open " + path);
-  direct_ = direct;
   if (mode == OpenMode::kWrite) append_offset_ = 0;
   else if (mode == OpenMode::kReadWrite) append_offset_ = size();
 }
@@ -55,7 +35,6 @@ File::File(const std::string& path, OpenMode mode, bool direct) : path_(path) {
 File::File(File&& o) noexcept
     : fd_(std::exchange(o.fd_, -1)),
       path_(std::move(o.path_)),
-      direct_(o.direct_),
       append_offset_(o.append_offset_) {}
 
 File& File::operator=(File&& o) noexcept {
@@ -63,7 +42,6 @@ File& File::operator=(File&& o) noexcept {
     close();
     fd_ = std::exchange(o.fd_, -1);
     path_ = std::move(o.path_);
-    direct_ = o.direct_;
     append_offset_ = o.append_offset_;
   }
   return *this;

@@ -1,4 +1,4 @@
-// RAII file wrapper with positional I/O and optional O_DIRECT.
+// RAII file wrapper with positional I/O through the page cache.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +18,8 @@ enum class OpenMode {
 class File : public Source {
  public:
   File() = default;
-  // Opens the file; throws IoError on failure. If `direct` is set, opens
-  // with O_DIRECT (falls back to buffered automatically if the filesystem
-  // rejects it, e.g. tmpfs).
-  File(const std::string& path, OpenMode mode, bool direct = false);
+  // Opens the file; throws IoError on failure.
+  File(const std::string& path, OpenMode mode);
 
   File(File&& o) noexcept;
   File& operator=(File&& o) noexcept;
@@ -32,7 +30,6 @@ class File : public Source {
   bool is_open() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
   const std::string& path() const noexcept { return path_; }
-  bool is_direct() const noexcept { return direct_; }
 
   // Reads exactly n bytes at offset; throws on short read or error.
   void pread_full(void* buf, std::size_t n, std::uint64_t offset) const;
@@ -57,7 +54,6 @@ class File : public Source {
  private:
   int fd_ = -1;
   std::string path_;
-  bool direct_ = false;
   std::uint64_t append_offset_ = 0;
 };
 

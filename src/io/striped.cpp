@@ -44,13 +44,13 @@ std::uint64_t stripe_file(const std::string& flat_path,
 }
 
 StripedFile::StripedFile(const std::string& base_path, unsigned members,
-                         std::uint64_t stripe_bytes, bool direct)
+                         std::uint64_t stripe_bytes)
     : stripe_bytes_(stripe_bytes) {
   GS_CHECK_MSG(members >= 1, "need at least one stripe member");
   GS_CHECK_MSG(stripe_bytes >= 512, "stripe size too small");
   files_.reserve(members);
   for (unsigned k = 0; k < members; ++k) {
-    files_.emplace_back(member_path(base_path, k), OpenMode::kRead, direct);
+    files_.emplace_back(member_path(base_path, k), OpenMode::kRead);
     logical_size_ += files_.back().size();
   }
 }

@@ -27,8 +27,7 @@ class StripedFile final : public Source {
  public:
   // Opens <base>.s0 … ; member count and stripe size must match the writer.
   StripedFile(const std::string& base_path, unsigned members,
-              std::uint64_t stripe_bytes = kDefaultStripeBytes,
-              bool direct = false);
+              std::uint64_t stripe_bytes = kDefaultStripeBytes);
 
   std::size_t pread_some(void* buf, std::size_t n,
                          std::uint64_t offset) const override;

@@ -10,21 +10,12 @@ Throttle::Throttle(std::uint64_t bytes_per_second, std::uint64_t burst_bytes)
       burst_(std::max<std::uint64_t>(burst_bytes, 4 << 10)),
       next_free_(clock::now()) {}
 
-void Throttle::set_rate(std::uint64_t bytes_per_second) {
-  MutexLock lock(mutex_);
-  rate_.store(bytes_per_second, std::memory_order_relaxed);
-  next_free_ = clock::now();
-}
-
 void Throttle::acquire(std::uint64_t bytes) {
-  if (rate() == 0) return;
+  if (rate_ == 0) return;
+  const double rate = static_cast<double>(rate_);
   clock::time_point finish;
   {
     MutexLock lock(mutex_);
-    // Re-read under the lock so one consistent rate prices this reservation
-    // even if set_rate() lands between the fast path and here.
-    const double rate = static_cast<double>(rate_.load(std::memory_order_relaxed));
-    if (rate == 0) return;
     const auto now = clock::now();
     // The device may have been idle: it cannot bank that time, except for a
     // small burst of pipelined work.

@@ -11,10 +11,10 @@
 //     single device, so N-worker submission cannot exceed the device rate.
 //
 // Used to emulate SSD arrays (aggregate rate = devices × per-device rate)
-// and HDD tiers for the scaling / tiered-storage experiments.
+// and HDD tiers for the scaling / tiered-storage experiments. The rate is
+// fixed at construction.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -31,22 +31,14 @@ class Throttle {
   // Blocks until `bytes` of device time have been reserved and elapsed.
   void acquire(std::uint64_t bytes) GSTORE_EXCLUDES(mutex_);
 
-  std::uint64_t rate() const noexcept {
-    return rate_.load(std::memory_order_relaxed);
-  }
-  void set_rate(std::uint64_t bytes_per_second) GSTORE_EXCLUDES(mutex_);
-
-  bool enabled() const noexcept { return rate() != 0; }
+  bool enabled() const noexcept { return rate_ != 0; }
 
  private:
   using clock = std::chrono::steady_clock;
 
+  const std::uint64_t rate_;
+  const std::uint64_t burst_;
   Mutex mutex_{"Throttle::mutex_"};
-  // cross-thread: acquire()'s disabled-throttle fast path and enabled() run
-  // on I/O workers concurrently with set_rate() on the control thread, so
-  // this is atomic rather than mutex-guarded.
-  std::atomic<std::uint64_t> rate_;
-  std::uint64_t burst_;  // set once at construction, read-only afterwards
   // when the device finishes current work
   clock::time_point next_free_ GSTORE_GUARDED_BY(mutex_);
 };

@@ -265,7 +265,6 @@ struct SharedScheduler::Runner {
 
   store::EngineStats run(std::vector<GangJob> initial) {
     Timer total;
-    store.device().reset_stats();
     GS_CHECK_MSG(initial.size() <= kMaxGang, "gang larger than kMaxGang");
     for (GangJob& j : initial) add_job(std::move(j));
     try {

@@ -34,7 +34,8 @@ RoundExecutor::RoundExecutor(tile::TileStore& store, const EngineConfig& config,
                                     config.segment_bytes)),
       hooks_(std::move(hooks)),
       pool_(budget_.pool_bytes),
-      overlay_(store.overlay()) {
+      overlay_(store.overlay()),
+      device_start_(store.device().stats()) {
   const std::uint64_t cap =
       std::max<std::uint64_t>(budget_.segment_bytes, store.max_tile_bytes());
   segments_[0] = Segment(cap);
@@ -321,7 +322,7 @@ std::uint64_t RoundExecutor::run_round(const std::vector<std::uint64_t>& tiles,
 }
 
 EngineStats RoundExecutor::finish(double elapsed_seconds) {
-  const io::DeviceStats dev = store_.device().stats();
+  const io::DeviceStats dev = store_.device().stats() - device_start_;
   stats_.bytes_read = dev.bytes_read;
   stats_.retries = dev.retries;
   stats_.short_reads = dev.short_reads;

@@ -71,8 +71,8 @@ class RoundExecutor {
   std::uint64_t run_round(const std::vector<std::uint64_t>& tiles,
                           std::uint32_t fetch_priority = 0);
 
-  // Copies the device, pool and segment counters into stats, stamps
-  // `elapsed_seconds` and returns the result.
+  // Copies the device counters' growth since construction and the segment
+  // counters into stats, stamps `elapsed_seconds` and returns the result.
   EngineStats finish(double elapsed_seconds);
 
   CachePool& pool() noexcept { return pool_; }
@@ -104,6 +104,9 @@ class RoundExecutor {
   // The overlay is frozen for the executor's lifetime (reader/writer
   // contract in tile/overlay.h), so which tiles carry data never changes.
   const tile::TileOverlay* overlay_ = nullptr;
+  // The device's counters when the executor was built; finish() reports the
+  // growth since.
+  const io::DeviceStats device_start_;
   std::uint64_t nonempty_tiles_ = 0;  // tiles with base bytes
   Segment segments_[2];
   std::size_t pending_[2] = {0, 0};

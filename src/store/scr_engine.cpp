@@ -212,7 +212,6 @@ struct ScrEngine::Runner {
                            std::span<const std::uint64_t> seed_tiles) {
     Timer total;
     if (cold) algo.init(store);
-    store.device().reset_stats();
     build_row_tiles();
     worklist.reset(grid.tile_count());
     if (seed_tiles.empty()) {
@@ -244,7 +243,6 @@ struct ScrEngine::Runner {
       return run_priority(/*cold=*/true, {});
     Timer total;
     algo.init(store);
-    store.device().reset_stats();
     bool more = true;
     std::uint32_t iter = 0;
     while (more && iter < config.max_iterations) {

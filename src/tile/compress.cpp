@@ -408,10 +408,6 @@ std::vector<std::uint8_t> compress_tile(std::span<const SnbEdge> edges) {
   return best;
 }
 
-std::size_t compressed_size(std::span<const SnbEdge> edges) {
-  return compress_tile(edges).size();
-}
-
 std::vector<SnbEdge> decompress_tile(std::span<const std::uint8_t> payload) {
   const TileCodecInfo info = parse_tile_payload(payload);
   const std::span<const std::uint8_t> body = info.body;

@@ -97,9 +97,6 @@ std::vector<std::uint8_t> encode_tile_as(TileCodec codec,
 // may trail the encoded edges). Throws FormatError on malformed input.
 std::vector<SnbEdge> decompress_tile(std::span<const std::uint8_t> payload);
 
-// Size in bytes that `edges` would occupy after compression.
-std::size_t compressed_size(std::span<const SnbEdge> edges);
-
 struct EdgeBlock;  // tile/edge_block.h
 
 // Block decoder for the EdgeBlock hot path; for_each_block() is its caller.

@@ -40,14 +40,14 @@ ConvertStats convert_to_tiles(const graph::EdgeList& el, const std::string& base
   // matrix), or the chosen direction (directed).
   auto for_each_stored = [&](auto&& fn) {
     for (graph::Edge e : el.edges()) {
-      if (options.drop_self_loops && e.src == e.dst) continue;
+      if (e.src == e.dst) continue;
       if (undirected) {
         if (options.symmetry) {
           if (e.src > e.dst) std::swap(e.src, e.dst);
           fn(e);
         } else {
           fn(e);
-          if (e.src != e.dst) fn(graph::Edge{e.dst, e.src});
+          fn(graph::Edge{e.dst, e.src});
         }
       } else {
         if (!options.out_edges) std::swap(e.src, e.dst);
@@ -161,7 +161,7 @@ ConvertStats convert_to_tiles(const graph::EdgeList& el, const std::string& base
     stats.bytes_written += sizeof(meta) +
                            (v3 ? 2 : 1) * start.size() * sizeof(std::uint64_t);
   }
-  if (options.write_degrees) {
+  {
     const std::vector<graph::degree_t> deg = el.degrees();
     io::File f(TileStore::deg_path(base_path), io::OpenMode::kWrite);
     if (!deg.empty()) f.append(deg.data(), deg.size() * sizeof(graph::degree_t));

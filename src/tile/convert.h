@@ -15,10 +15,6 @@ struct ConvertOptions {
   // For directed graphs: store out-edges (true) or in-edges (false). The
   // paper stores one of the two; algorithms adapt (Algorithm 2).
   bool out_edges = true;
-  // Drop self loops during conversion (they carry no information for the
-  // three paper algorithms).
-  bool drop_self_loops = true;
-  bool write_degrees = true;
   // ---- Fig 10 ablation knobs (both default to the paper's format) ----
   // SNB 4-byte tuples; false writes 8-byte full-vid tuples ("no SNB").
   bool snb = true;
@@ -49,7 +45,8 @@ struct ConvertStats {
   std::uint64_t codec_tiles[5] = {0, 0, 0, 0, 0};
 };
 
-// Converts and writes <base>.tiles/.sei/.deg. Returns timing/size stats.
+// Converts and writes <base>.tiles/.sei/.deg. Self loops are dropped: they
+// carry no information for the paper's algorithms. Returns timing/size stats.
 ConvertStats convert_to_tiles(const graph::EdgeList& el, const std::string& base_path,
                               ConvertOptions options = {});
 

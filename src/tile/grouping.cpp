@@ -50,15 +50,4 @@ std::uint64_t group_metadata_bytes(const Grid& grid, std::uint64_t group,
   return vertices * bytes_per_vertex;
 }
 
-std::uint32_t pick_group_side(unsigned tile_bits, std::uint64_t llc_bytes,
-                              std::uint64_t bytes_per_vertex) {
-  const std::uint64_t width = std::uint64_t{1} << tile_bits;
-  // Worst case (off-diagonal group): metadata for both the row range and the
-  // column range must be resident: 2 * q * width * bytes_per_vertex ≤ llc.
-  const std::uint64_t per_q = 2 * width * bytes_per_vertex;
-  if (per_q == 0 || llc_bytes < per_q) return 1;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(llc_bytes / per_q, 1u << 20));
-}
-
 }  // namespace gstore::tile

@@ -27,10 +27,4 @@ std::vector<std::uint64_t> tile_edge_counts(const TileStore& store);
 std::uint64_t group_metadata_bytes(const Grid& grid, std::uint64_t group,
                                    std::uint64_t bytes_per_vertex);
 
-// Largest group_side q such that metadata for a q×q tile group fits in
-// `llc_bytes` (the paper's guidance for picking q; e.g. 256 for a 16MB LLC
-// with 2 ranges × 2^16 vertices × 4B... see Fig 11).
-std::uint32_t pick_group_side(unsigned tile_bits, std::uint64_t llc_bytes,
-                              std::uint64_t bytes_per_vertex);
-
 }  // namespace gstore::tile

@@ -277,7 +277,9 @@ TileStore TileStore::open_tiered(const std::string& base_path,
     map.add_range(store.tile_offset(k), store.tile_offset(k) + store.tile_bytes(k),
                   hot[k] ? 0u : 1u);
   }
-  store.device_->set_tier_map(std::move(map));
+  // The map is fixed for a Device's lifetime: reopen the data file with it.
+  store.device_ = std::make_unique<io::Device>(tiles_path(store.base_path_),
+                                               config, std::move(map));
   return store;
 }
 

@@ -14,8 +14,6 @@ LogHistogram::LogHistogram(std::uint64_t base) : base_(base) {
 void LogHistogram::add(std::uint64_t value, std::uint64_t count) {
   total_ += count;
   max_value_ = std::max(max_value_, value);
-  for (std::uint64_t k = 0; k < count; ++k) raw_.push_back(value);
-  sorted_valid_ = false;
   if (value == 0) {
     zeros_ += count;
     return;
@@ -31,23 +29,6 @@ void LogHistogram::add(std::uint64_t value, std::uint64_t count) {
   }
   if (counts_.size() <= bucket) counts_.resize(bucket + 1, 0);
   counts_[bucket] += count;
-}
-
-std::uint64_t LogHistogram::count_below(std::uint64_t bound) const {
-  if (!sorted_valid_) {
-    sorted_cache_ = raw_;
-    std::sort(sorted_cache_.begin(), sorted_cache_.end());
-    sorted_valid_ = true;
-  }
-  return static_cast<std::uint64_t>(
-      std::lower_bound(sorted_cache_.begin(), sorted_cache_.end(), bound) -
-      sorted_cache_.begin());
-}
-
-double LogHistogram::fraction_below(std::uint64_t bound) const {
-  return total_ == 0 ? 0.0
-                     : static_cast<double>(count_below(bound)) /
-                           static_cast<double>(total_);
 }
 
 std::vector<LogHistogram::Bucket> LogHistogram::buckets() const {

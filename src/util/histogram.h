@@ -19,11 +19,6 @@ class LogHistogram {
   std::uint64_t zeros() const noexcept { return zeros_; }
   std::uint64_t max_value() const noexcept { return max_value_; }
 
-  // Count of samples with value < bound.
-  std::uint64_t count_below(std::uint64_t bound) const;
-  // Fraction (0..1) of samples with value < bound; 0 when empty.
-  double fraction_below(std::uint64_t bound) const;
-
   // Multi-line table: "bucket_lo..bucket_hi  count  percent".
   std::string to_string() const;
 
@@ -38,10 +33,7 @@ class LogHistogram {
   std::uint64_t zeros_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t max_value_ = 0;
-  std::vector<std::uint64_t> counts_;      // counts_[i] covers [base^i, base^(i+1))
-  std::vector<std::uint64_t> raw_;         // kept sorted lazily for count_below
-  mutable std::vector<std::uint64_t> sorted_cache_;
-  mutable bool sorted_valid_ = false;
+  std::vector<std::uint64_t> counts_;  // counts_[i] covers [base^i, base^(i+1))
 };
 
 }  // namespace gstore

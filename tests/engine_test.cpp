@@ -214,6 +214,20 @@ TEST(ScrEngine, StatsAreCoherent) {
             }());
 }
 
+// The device's counters only grow: each run reports its own share, and the
+// device keeps counting across runs on one store.
+TEST(ScrEngine, DeviceCountersAccumulateAcrossRuns) {
+  io::TempDir dir;
+  auto store = kron_store(dir);
+  RecordingAlgo a1(2), a2(2);
+  const auto first = ScrEngine(store, tiny_memory()).run(a1);
+  const std::uint64_t before = store.device().stats().bytes_read;
+  const auto second = ScrEngine(store, tiny_memory()).run(a2);
+  EXPECT_GT(second.bytes_read, 0u);
+  EXPECT_EQ(second.bytes_read, first.bytes_read);
+  EXPECT_EQ(store.device().stats().bytes_read - before, second.bytes_read);
+}
+
 TEST(ScrEngine, HonorsMaxIterationsGuard) {
   io::TempDir dir;
   auto store = kron_store(dir, 7, 4);

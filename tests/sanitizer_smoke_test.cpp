@@ -1,12 +1,11 @@
 // Concurrency smoke test, written to be run under TSan/ASan (the sanitizer
 // presets) but cheap enough for tier-1. Each test drives one of the shared
 // structures the SCR/AIO core races on — async-engine submit/reap, the
-// cache pool's insert/evict churn, throttle reconfiguration — from N real
+// cache pool's insert/evict churn, the SCR segment handoff — from real
 // threads, so the sanitizer watches actual cross-thread handoffs rather
 // than single-threaded logic.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <mutex>
 #include <numeric>
@@ -19,7 +18,6 @@
 #include "io/async_engine.h"
 #include "io/device.h"
 #include "io/file.h"
-#include "io/throttle.h"
 #include "store/cache_pool.h"
 #include "store/scr_engine.h"
 #include "test_util.h"
@@ -145,29 +143,6 @@ TEST(SanitizerSmoke, CachePoolConcurrentChurn) {
   }
   for (auto& t : threads) t.join();
   EXPECT_LE(pool.used(), pool.budget());
-}
-
-// ---- throttle: reconfiguration racing acquisition --------------------------
-
-TEST(SanitizerSmoke, ThrottleSetRateRacesAcquire) {
-  io::Throttle throttle(/*bytes_per_second=*/0);  // start disabled
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> acquirers;
-  for (int t = 0; t < kThreads; ++t) {
-    acquirers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire))
-        throttle.acquire(4096);  // usually free; briefly paced mid-test
-    });
-  }
-  for (int i = 0; i < 50; ++i) {
-    // Flip between disabled and a rate high enough to never block long.
-    throttle.set_rate(i % 2 == 0 ? 0 : (8ull << 30));
-    std::this_thread::yield();
-  }
-  throttle.set_rate(0);
-  stop.store(true, std::memory_order_release);
-  for (auto& t : acquirers) t.join();
-  EXPECT_FALSE(throttle.enabled());
 }
 
 // ---- full engine pass: SCR segment handoff under the async backend ---------

@@ -371,13 +371,6 @@ TEST(Grouping, MetadataBytesDiagonalVsOffDiagonal) {
   EXPECT_EQ(off, 2048u * 4);
 }
 
-TEST(Grouping, PickGroupSideFitsLlc) {
-  // 16MB LLC, 4B metadata, 2^16-wide tiles: 2*q*65536*4 <= 16MB → q = 32.
-  EXPECT_EQ(pick_group_side(16, 16ull << 20, 4), 32u);
-  // Tiny LLC floors at 1.
-  EXPECT_EQ(pick_group_side(16, 1024, 4), 1u);
-}
-
 // ---- compression (future-work extension) ---------------------------------
 
 TEST(Compress, RoundTripRandomTiles) {
@@ -404,7 +397,7 @@ TEST(Compress, DenseRowsCompressWell) {
     edges.push_back(SnbEdge{7, static_cast<std::uint16_t>(d * 3)});
   const std::size_t raw = edges.size() * sizeof(SnbEdge);
   // ~2 bytes/edge (two 1-byte varints) vs 4 raw.
-  EXPECT_LT(compressed_size(edges), raw * 6 / 10);
+  EXPECT_LT(compress_tile(edges).size(), raw * 6 / 10);
 }
 
 TEST(Compress, IncompressibleFallsBackToRaw) {

@@ -174,19 +174,9 @@ TEST(Histogram, BucketsAndZeros) {
   EXPECT_EQ(buckets[3].count, 1u);  // [100,1000)
 }
 
-TEST(Histogram, FractionBelow) {
-  LogHistogram h;
-  for (std::uint64_t v = 0; v < 100; ++v) h.add(v);
-  EXPECT_DOUBLE_EQ(h.fraction_below(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.fraction_below(50), 0.5);
-  EXPECT_DOUBLE_EQ(h.fraction_below(1000), 1.0);
-  EXPECT_EQ(h.count_below(10), 10u);
-}
-
 TEST(Histogram, EmptyIsSafe) {
   LogHistogram h;
   EXPECT_EQ(h.total(), 0u);
-  EXPECT_DOUBLE_EQ(h.fraction_below(5), 0.0);
   EXPECT_TRUE(h.buckets().empty());
 }
 
