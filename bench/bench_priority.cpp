@@ -1,10 +1,10 @@
 // bench_priority — grid-order vs priority-driven selective tile scheduling
-// (docs/SCHEDULING.md; ISSUE 10).
+// (docs/SCHEDULING.md).
 //
 // On a skewed (R-MAT) graph behind the emulated one-SSD device profile,
 // runs BFS, delta-stepping SSSP and push-based PageRank-delta under both
 // schedules and records, per algorithm:
-//   * sweeps        — grid iterations vs worklist rounds to convergence
+//   * sweeps        — grid iterations vs priority rounds to convergence
 //   * bytes fetched — total tile payload read from the device
 //   * wasted bytes  — priority-round fetches that produced zero updates
 //   * wall seconds  — end-to-end engine time
@@ -13,15 +13,18 @@
 // What the numbers show (and why): on a COLD run the grid sweep with
 // selective fetch is already a near-optimal byte amortizer — one fetch per
 // active tile per sweep drains every pending row at once — so priority
-// mode's exact worklist fetches match BFS byte-for-byte and sit within a
-// few percent of grid on SSSP at a coarse delta, while fine deltas trade
-// extra refetches for fewer wasted relaxations (PageRank-delta converts
-// that into a wall-clock win when compute-bound). The decisive byte win of
-// the worklist machinery is the INCREMENTAL path, measured last: resuming
-// a converged SSSP over a small WAL delta re-fetches only the perturbed
-// neighbourhood instead of re-streaming the graph (~3x fewer bytes here,
-// and the gap widens with graph size at fixed delta-batch size). Prints a
-// table and writes BENCH_priority.json for machine consumption.
+// rounds, planned by the same kind of per-round tile scan, match BFS
+// byte-for-byte and sit within a few percent of grid on SSSP at a coarse
+// delta, while fine deltas trade extra refetches for fewer wasted
+// relaxations (PageRank-delta converts that into a wall-clock win when
+// compute-bound). The decisive byte win of priority scheduling is the
+// INCREMENTAL path, measured last: resuming a converged SSSP over a small
+// WAL delta re-fetches only the perturbed neighbourhood instead of
+// re-streaming the graph (~3x fewer bytes here, and the gap widens with
+// graph size at fixed delta-batch size). Exits non-zero when the two
+// schedules disagree on BFS or SSSP, or the resume disagrees with a cold
+// rerun. Prints a table and writes BENCH_priority.json for machine
+// consumption.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -89,7 +92,7 @@ std::pair<std::array<Run, 2>, bool> compare(tile::TileStore& store,
 
 int run() {
   banner("bench_priority: grid vs priority-driven tile scheduling",
-         "delta-stepping worklists (no paper counterpart; docs/SCHEDULING.md)");
+         "delta-stepping rounds (no paper counterpart; docs/SCHEDULING.md)");
 
   // Skewed band graph: unscrambled, heavily diagonal R-MAT (the "subdomain
   // web" profile — dense communities with id locality) with every edge
@@ -164,9 +167,9 @@ int run() {
 
   // --- incremental recompute: resume over a WAL delta vs cold rerun ------
   // Converge SSSP once, splice a small batch of new band edges in as a
-  // delta overlay, then resume from the converged state: the worklist is
-  // seeded from only the delta-touched tiles and the cascade re-fetches
-  // just the perturbed neighbourhood. The cold rerun over the same
+  // delta overlay, then resume from the converged state: reactivate arms
+  // only the delta-touched tiles' rows and the cascade re-fetches just the
+  // perturbed neighbourhood. The cold rerun over the same
   // base ∪ overlay view is the byte baseline it replaces.
   store::EngineStats resume_stats, rerun_stats;
   bool resume_same = false;

@@ -83,21 +83,4 @@ std::uint32_t TileBfs::tile_priority(std::uint32_t i, std::uint32_t j) const {
                            : kPriorityIdle;
 }
 
-bool TileBfs::end_round(std::uint32_t round, std::uint32_t) {
-  // Collect the rows whose priority the round changed *before*
-  // end_iteration swaps the frontier flags away: the drained current
-  // frontier (those tiles go idle or move to the next level) and the newly
-  // discovered one (those tiles enter the next bucket).
-  dirty_rows_.clear();
-  for (std::uint32_t r = 0; r < frontier_row_cur_.size(); ++r)
-    if (frontier_row_cur_[r] || frontier_row_next_[r])
-      dirty_rows_.push_back(r);
-  return end_iteration(round);
-}
-
-bool TileBfs::dirty_rows(std::vector<std::uint32_t>& out) const {
-  out.insert(out.end(), dirty_rows_.begin(), dirty_rows_.end());
-  return true;
-}
-
 }  // namespace gstore::algo

@@ -30,14 +30,12 @@ class TileBfs final : public store::TileAlgorithm {
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
 
   // Priority mode: every frontier tile carries the current level as its
-  // bucket, so one worklist round == one level-sync iteration and results
-  // are trivially bit-identical to grid order — the win is the worklist
-  // skipping the per-iteration grid scan and bucket numbers matching BFS
-  // levels in the stats.
+  // bucket, so one priority round == one level-sync iteration and results
+  // are trivially bit-identical to grid order. Both modes plan a round with
+  // one tile scan, so BFS reads the same tiles under either; priority mode
+  // only adds bucket numbers that match BFS levels in the stats.
   std::uint32_t tile_priority(std::uint32_t i, std::uint32_t j) const override;
-  bool end_round(std::uint32_t round, std::uint32_t bucket) override;
   std::uint64_t last_round_updates() const override { return newly_visited_; }
-  bool dirty_rows(std::vector<std::uint32_t>& out) const override;
 
   const std::vector<std::int32_t>& depth() const noexcept { return depth_; }
   std::uint64_t visited_count() const noexcept { return visited_; }
@@ -57,7 +55,6 @@ class TileBfs final : public store::TileAlgorithm {
   std::vector<std::int32_t> depth_;
   std::vector<std::uint8_t> frontier_row_cur_;   // tile-row has depth==level
   std::vector<std::uint8_t> frontier_row_next_;  // tile-row gained depth==level+1
-  std::vector<std::uint32_t> dirty_rows_;        // rows touched last round
 };
 
 }  // namespace gstore::algo

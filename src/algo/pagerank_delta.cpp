@@ -37,7 +37,6 @@ void TilePageRankDelta::init(const tile::TileStore& store) {
   for (graph::vid_t v = 0; v < n_; ++v)
     row_res_fx_[v >> tile_bits_] += res_fx_[v];
   drained_rows_.clear();
-  dirty_rows_.clear();
   rounds_ = 0;
   drained_ = 0;
 }
@@ -152,14 +151,8 @@ bool TilePageRankDelta::end_round(std::uint32_t, std::uint32_t) {
     std::fill(push_fx_.begin() + lo, push_fx_.begin() + hi, 0);
     row_armed_[r] = 0;
   }
-  // Priorities changed for drained rows and for any row now holding mass
-  // (receivers of this round's pushes included).
-  dirty_rows_ = drained_rows_;
   std::uint64_t total = 0;
-  for (std::uint32_t r = 0; r < row_res_fx_.size(); ++r) {
-    if (row_res_fx_[r] != 0) dirty_rows_.push_back(r);
-    total += row_res_fx_[r];
-  }
+  for (const std::uint64_t m : row_res_fx_) total += m;
   ++rounds_;
   const auto tol_fx =
       static_cast<std::uint64_t>(options_.tolerance * fx_scale());
@@ -190,11 +183,6 @@ std::uint32_t TilePageRankDelta::tile_priority(std::uint32_t i,
   std::uint32_t p = bucket_of_row(in_edges_ ? j : i);
   if (symmetric_) p = std::min(p, bucket_of_row(j));
   return p;
-}
-
-bool TilePageRankDelta::dirty_rows(std::vector<std::uint32_t>& out) const {
-  out.insert(out.end(), dirty_rows_.begin(), dirty_rows_.end());
-  return true;
 }
 
 std::vector<float> TilePageRankDelta::ranks() const {

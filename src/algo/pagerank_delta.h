@@ -7,8 +7,8 @@
 // vertex moves its residual into its rank and pushes damping·residual/degree
 // to each neighbour. Work therefore concentrates where mass still moves —
 // per-tile-row residual mass is the priority oracle, and the engine's
-// worklist drains heavy tiles first while converged regions of the graph are
-// never fetched again.
+// priority rounds run heavy tiles first while converged regions of the graph
+// are never fetched again.
 //
 // Determinism: residuals, ranks, and pushes are all uint64 fixed-point
 // (kFxBits fractional bits). Integer atomic adds commute exactly, so a run's
@@ -58,7 +58,6 @@ class TilePageRankDelta final : public store::TileAlgorithm {
   void begin_round(std::uint32_t round, std::uint32_t bucket) override;
   bool end_round(std::uint32_t round, std::uint32_t bucket) override;
   std::uint64_t last_round_updates() const override { return drained_; }
-  bool dirty_rows(std::vector<std::uint32_t>& out) const override;
 
   // Final ranks: drained mass plus whatever residual is still pending (it
   // would all land in the rank eventually, so counting it tightens the
@@ -92,7 +91,6 @@ class TilePageRankDelta final : public store::TileAlgorithm {
   // (already-zeroed) row residuals.
   std::vector<std::uint8_t> row_armed_;
   std::vector<std::uint32_t> drained_rows_;
-  std::vector<std::uint32_t> dirty_rows_;
 };
 
 }  // namespace gstore::algo

@@ -76,10 +76,10 @@ bool TileSssp::tile_useful_next(std::uint32_t i, std::uint32_t j) const {
 
 std::uint32_t TileSssp::bucket_of(float d) const {
   if (d == kInf) return kPriorityIdle;
-  // The worklist clamps anything at or above its overflow bucket, so the
-  // only care here is not overflowing the uint32 conversion itself.
+  // Buckets at or above kMaxBucket share the overflow bucket, so the only
+  // care here is not overflowing the uint32 conversion itself.
   const float b = d / delta_;
-  if (b >= 1e9f) return kPriorityIdle - 1;
+  if (b >= static_cast<float>(kMaxBucket)) return kMaxBucket;
   return static_cast<std::uint32_t>(b);
 }
 
@@ -93,25 +93,16 @@ std::uint32_t TileSssp::tile_priority(std::uint32_t i, std::uint32_t j) const {
 
 void TileSssp::begin_round(std::uint32_t, std::uint32_t bucket) {
   relaxed_ = 0;
-  drained_rows_.clear();
   // Drain every row whose pending bucket this round covers. Clearing the
   // pending mark *before* processing lets in-round relaxations re-arm the
   // row for a later round (the delta-stepping re-entry rule).
-  for (std::uint32_t r = 0; r < row_pending_.size(); ++r) {
-    if (row_pending_[r] == kInf) continue;
-    if (bucket_of(row_pending_[r]) > bucket) continue;
-    row_pending_[r] = kInf;
-    drained_rows_.push_back(r);
-  }
+  for (float& pending : row_pending_)
+    if (pending != kInf && bucket_of(pending) <= bucket) pending = kInf;
 }
 
 bool TileSssp::end_round(std::uint32_t, std::uint32_t) {
-  // Rows drained this round and rows that took a relaxation both change
-  // tile priorities; everything else is untouched.
-  dirty_rows_ = drained_rows_;
   bool any_pending = false;
   for (std::uint32_t r = 0; r < row_pending_.size(); ++r) {
-    if (active_row_next_[r]) dirty_rows_.push_back(r);
     // Keep the grid-mode oracles coherent for the caching policy: a row is
     // "active" exactly while it holds pending work.
     active_row_cur_[r] = row_pending_[r] != kInf ? 1 : 0;
@@ -119,11 +110,6 @@ bool TileSssp::end_round(std::uint32_t, std::uint32_t) {
   }
   std::fill(active_row_next_.begin(), active_row_next_.end(), 0);
   return relaxed_ > 0 || any_pending;
-}
-
-bool TileSssp::dirty_rows(std::vector<std::uint32_t>& out) const {
-  out.insert(out.end(), dirty_rows_.begin(), dirty_rows_.end());
-  return true;
 }
 
 bool TileSssp::reactivate(const tile::TileStore& store,
@@ -135,9 +121,11 @@ bool TileSssp::reactivate(const tile::TileStore& store,
   if (dist_.size() != store.vertex_count()) return false;
   const tile::Grid& grid = store.grid();
   relaxed_ = 0;
-  drained_rows_.clear();
-  dirty_rows_.clear();
   std::fill(active_row_next_.begin(), active_row_next_.end(), 0);
+  // Only the armed rows may hold pending work: the engine asks every
+  // tile's priority, and a grid-mode run relaxes into row_pending_ without
+  // ever draining it.
+  std::fill(row_pending_.begin(), row_pending_.end(), kInf);
   std::vector<std::uint8_t> armed(grid.p(), 0);
   auto arm_row = [&](std::uint32_t r) {
     if (armed[r]) return;

@@ -55,7 +55,6 @@ class TileSssp final : public store::TileAlgorithm {
   void begin_round(std::uint32_t round, std::uint32_t bucket) override;
   bool end_round(std::uint32_t round, std::uint32_t bucket) override;
   std::uint64_t last_round_updates() const override { return relaxed_; }
-  bool dirty_rows(std::vector<std::uint32_t>& out) const override;
   bool reactivate(const tile::TileStore& store,
                   std::span<const std::uint64_t> delta_tiles) override;
 
@@ -85,8 +84,6 @@ class TileSssp final : public store::TileAlgorithm {
   // the rows whose bucket the round drains, so in-round relaxations re-arm
   // them for a later round.
   std::vector<float> row_pending_;
-  std::vector<std::uint32_t> drained_rows_;  // rows cleared by begin_round
-  std::vector<std::uint32_t> dirty_rows_;    // rows whose priority changed
 };
 
 }  // namespace gstore::algo

@@ -276,7 +276,7 @@ void AsyncEngine::submit(const std::vector<ReadRequest>& batch) {
       // Priority order: insert before the first pending request with a
       // strictly greater priority value. Equal priorities stay FIFO, so the
       // default (priority 0 everywhere) degenerates to the old push_back,
-      // and within one worklist round the layout-ascending submit order —
+      // and within one priority round the layout-ascending submit order —
       // hence sequential I/O — is preserved. The deque is bounded by
       // `depth`, so the linear insert touches at most `depth` entries.
       const auto at = std::upper_bound(

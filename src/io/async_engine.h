@@ -66,9 +66,9 @@ struct ReadRequest {
   std::uint64_t tag = 0;  // opaque caller cookie, returned in the Completion
   // Dispatch urgency: workers pick pending requests with the smallest
   // priority first; equal priorities keep submit (FIFO) order, so plain
-  // callers that never set this are unaffected. The SCR engine's worklist
+  // callers that never set this are unaffected. The SCR engine's priority
   // scheduler stamps each round's bucket here, which keeps the fetch queue
-  // ordered to match the worklist when several submitters share a device
+  // ordered by bucket when several submitters share a device
   // (docs/SCHEDULING.md).
   std::uint32_t priority = 0;
   // Optional device pacing: the executing worker acquires `length` tokens

@@ -171,11 +171,18 @@ struct SharedScheduler::Runner {
   }
 
   // Round-boundary cache analysis: recompute every cached tile's
-  // subscriber set for the upcoming round, evict the orphans, and rebuild
-  // the per-job charge table (jobs that finished stop being charged; tiles
-  // that gained subscribers get cheaper for everyone). With rewind off the
-  // executor empties the pool before the next round, so nothing stays
-  // charged.
+  // subscriber set, evict the orphans, and rebuild the per-job charge table
+  // (jobs that finished stop being charged; tiles that gained subscribers
+  // get cheaper for everyone). With rewind off the executor empties the
+  // pool before the next round, so nothing stays charged.
+  //
+  // Known drift from ScrEngine, which analyzes before its end hooks: this
+  // runs after the jobs' end_iteration. By then BFS and SSSP have promoted
+  // their next-iteration flags and cleared them, so tile_useful_next is
+  // false for every tile and the analysis evicts whatever only those jobs
+  // pinned: nothing they cached survives into their next round. Only jobs
+  // whose oracle outlives end_iteration (PageRank, WCC) keep pooled tiles.
+  // ROADMAP.md lists the fix and why it waits.
   void analyze_cache() {
     charged.fill(0);
     if (pool.budget() == 0 || !config.rewind) return;
@@ -230,7 +237,9 @@ struct SharedScheduler::Runner {
 
     // End the round: every active job decides whether it wants another
     // iteration; finished jobs leave the gang before the cache analysis so
-    // their subscriptions stop counting.
+    // their subscriptions stop counting. The analysis therefore sees each
+    // job's state after end_iteration (see analyze_cache for what that
+    // costs BFS and SSSP).
     for_bits(occupied, [&](std::size_t k) {
       Slot& s = slots[k];
       const bool more = s.job.algo->end_iteration(s.iter);

@@ -22,8 +22,10 @@
 //            subscriber is under quota, each subscriber charged
 //            bytes / #subscribers. One full-graph PageRank therefore cannot
 //            evict-starve small BFS jobs, and tiles wanted by many jobs are
-//            proportionally cheaper to keep. Tiles whose next-round
-//            subscriber set is empty are evicted at the round boundary.
+//            proportionally cheaper to keep. Tiles whose subscriber set
+//            is empty once the jobs' end_iteration ran are evicted at the
+//            round boundary; for BFS and SSSP that is every tile
+//            (SharedScheduler's analyze_cache explains why).
 //
 // Jobs join at round boundaries (the admit callback), finish independently
 // (their end_iteration() returns false), and are cancelled at round

@@ -7,20 +7,24 @@
 //   * tile_useful_next(i,j) — proactive caching: with the information known
 //                             so far, might this tile be needed in the *next*
 //                             iteration? (paper §VI-C Rules 1 & 2)
-//   * tile_priority(i,j)    — worklist scheduling (docs/SCHEDULING.md): how
-//                             urgent is this tile's pending work? The engine's
-//                             priority mode drains the minimum bucket per
-//                             round instead of sliding the grid in row order.
+//   * tile_priority(i,j)    — priority scheduling (docs/SCHEDULING.md): how
+//                             urgent is this tile's pending work? Before each
+//                             round the engine's priority mode asks it of
+//                             every tile and runs the minimum bucket's tiles
+//                             instead of sliding the grid in row order.
 // process_tile() may be called concurrently for different tiles; metadata
 // updates must be thread-safe.
 //
-// Oracle stability: the engine plans a whole iteration or round right after
-// begin_iteration()/begin_round() — which tiles it takes from the cache
-// pool, fetches, or splices from the overlay — and has reads in flight
-// before its first process_tile() call. So tile_needed() and tile_priority()
-// must not change between that begin hook and the end of the round's scan:
-// they may read only "current" state that process_tile() never writes.
-// Debug builds check tile_needed() by planning again after the scan.
+// Oracle stability: the engine plans a whole grid iteration right after
+// begin_iteration() and a whole priority round right before begin_round() —
+// which tiles it takes from the cache pool, fetches, or splices from the
+// overlay — and has reads in flight before its first process_tile() call.
+// So tile_needed() must not change between begin_iteration() and the end
+// of the iteration's scan: it may read only "current" state that
+// process_tile() never writes. Debug builds check this by planning again
+// after the scan. tile_priority() is asked of every tile before each
+// round, so a tile whose pending work a round drained must say
+// kPriorityIdle, or the next round runs it again.
 //
 // process_tile() is the one compute entry point (docs/HOTPATH.md). The
 // built-in algorithms implement it as tile::for_each_block over the view,
@@ -32,7 +36,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "tile/edge_block.h"
 #include "tile/tile_file.h"
@@ -43,6 +46,9 @@ class TileAlgorithm {
  public:
   // tile_priority() result meaning "this tile has no pending work".
   static constexpr std::uint32_t kPriorityIdle = 0xffffffffu;
+  // Priorities at or above this share one overflow bucket: its tiles run
+  // together in one round, which begin_round() sees as bucket kMaxBucket.
+  static constexpr std::uint32_t kMaxBucket = 1u << 16;
 
   virtual ~TileAlgorithm() = default;
 
@@ -82,7 +88,7 @@ class TileAlgorithm {
     return tile_needed(i, j) ? 0 : kPriorityIdle;
   }
 
-  // Round hooks. A priority round processes one worklist bucket, not the
+  // Round hooks. A priority round processes one bucket's tiles, not the
   // whole grid; algorithms that distinguish rounds from iterations (e.g.
   // delta-stepping SSSP snapshotting the rows it is about to drain)
   // override these. Defaults delegate to the iteration hooks.
@@ -90,7 +96,7 @@ class TileAlgorithm {
     (void)bucket;
     begin_iteration(round);
   }
-  // Returns false to stop the run even if tiles remain filed (e.g. a
+  // Returns false to stop the run even if tiles still have work (e.g. a
   // residual algorithm whose total pending mass fell under tolerance).
   virtual bool end_round(std::uint32_t round, std::uint32_t bucket) {
     (void)bucket;
@@ -102,17 +108,11 @@ class TileAlgorithm {
   // wasted_fetch_bytes when this is 0. Default: unknown, counts as progress.
   virtual std::uint64_t last_round_updates() const { return 1; }
 
-  // Incremental worklist maintenance: appends the tile-row indices whose
-  // priority inputs changed during the last round, so the engine re-files
-  // only tiles touching those rows. Returns false when the dirty set is
-  // unknown — the engine then re-evaluates every tile.
-  virtual bool dirty_rows(std::vector<std::uint32_t>& /*out*/) const {
-    return false;
-  }
-
   // Incremental recompute (ScrEngine::resume): re-arm pending work from a
   // previous converged run for exactly the tiles a WAL delta touched — the
-  // overlay carrying the new edges is already attached to `store`. Returns
+  // overlay carrying the new edges is already attached to `store`. The
+  // engine then asks tile_priority of every tile, so nothing else may stay
+  // pending from the previous run, whichever mode it ran in. Returns
   // false when the algorithm cannot resume (no prior state, or its labels
   // are not monotone under edge insertion); the engine then falls back to a
   // cold run.

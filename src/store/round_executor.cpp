@@ -316,9 +316,9 @@ std::uint64_t RoundExecutor::run_round(const std::vector<std::uint64_t>& tiles,
   scan(
       delta_only_.size(), [&](std::size_t k) { return delta_only_[k]; },
       [](std::size_t) -> const std::uint8_t* { return nullptr; });
-  // Every pool entry carries base bytes, so the tiles with bytes that are
-  // neither cached nor fetched were skipped.
-  return nonempty_tiles_ - pooled - fetch_.size();
+  // Every pool entry carries base bytes, so the tiles with bytes that the
+  // round neither took from the pool nor fetched were skipped.
+  return nonempty_tiles_ - cached_.size() - fetch_.size();
 }
 
 EngineStats RoundExecutor::finish(double elapsed_seconds) {

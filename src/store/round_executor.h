@@ -66,7 +66,7 @@ class RoundExecutor {
 
   // Runs one round over `tiles` (ascending layout indices, each carrying
   // base bytes or overlay edges), stamping `fetch_priority` onto its reads.
-  // Returns how many tiles with base bytes the round neither found in the
+  // Returns how many tiles with base bytes the round neither took from the
   // pool nor fetched.
   std::uint64_t run_round(const std::vector<std::uint64_t>& tiles,
                           std::uint32_t fetch_priority = 0);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "store/round_executor.h"
-#include "store/worklist.h"
 #include "tile/overlay.h"
 #include "util/dcheck.h"
 #include "util/logging.h"
@@ -127,61 +126,40 @@ struct ScrEngine::Runner {
 
   // ---- priority mode (docs/SCHEDULING.md) --------------------------------
 
-  // Registers every tile carrying data (base bytes or overlay edges) under
-  // both of its tile rows, so a dirty row maps back to the tiles whose
-  // priority it can change. Both rows, not just the algorithm's source row:
-  // tile_priority(i,j) may consult either range (symmetric stores do), and
-  // over-approximating costs one oracle call per refresh, never correctness.
-  void build_row_tiles() {
-    row_tiles.assign(grid.p(), {});
-    row_mark.assign(grid.p(), 0);
+  // Priority mode's plan, one scan like needed_tiles: every tile carrying
+  // data is asked for its priority, and the round is the lowest bucket's
+  // tiles in layout order. Priorities at or above kMaxBucket share one
+  // bucket. Returns the bucket, or kPriorityIdle when no tile has work.
+  std::uint32_t plan_round() {
+    round_tiles.clear();
+    std::uint32_t bucket = TileAlgorithm::kPriorityIdle;
     for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
       if (!has_data(idx)) continue;
-      const tile::TileCoord c = grid.coord_at(idx);
-      row_tiles[c.i].push_back(idx);
-      if (c.j != c.i) row_tiles[c.j].push_back(idx);
+      const std::uint32_t p = priority_of(idx);
+      if (p == TileAlgorithm::kPriorityIdle) continue;
+      const std::uint32_t b = std::min(p, TileAlgorithm::kMaxBucket);
+      if (b > bucket) continue;
+      if (b < bucket) {
+        bucket = b;
+        round_tiles.clear();
+      }
+      round_tiles.push_back(idx);
     }
+    return bucket;
   }
 
-  // Re-files one tile under its current oracle priority (kPriorityIdle
-  // unfiles it).
-  void refresh_tile(std::uint64_t layout_idx) {
-    worklist.push(layout_idx, priority_of(layout_idx));
-  }
-
-  void seed_worklist_full() {
-    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-      if (!has_data(idx)) continue;
-      refresh_tile(idx);
-    }
-  }
-
-  // Re-evaluates only the tiles touching `rows` (deduplicated via row_mark).
-  void refresh_rows(const std::vector<std::uint32_t>& rows) {
-    for (const std::uint32_t r : rows) {
-      GSTORE_DCHECK_LT(r, row_tiles.size());
-      if (r >= row_tiles.size() || row_mark[r]) continue;
-      row_mark[r] = 1;
-      for (const std::uint64_t idx : row_tiles[r]) refresh_tile(idx);
-    }
-    for (const std::uint32_t r : rows)
-      if (r < row_mark.size()) row_mark[r] = 0;
-  }
-
-  // One worklist round: drain the minimum bucket, then one pass over its
-  // tiles — cached ones processed in place (the REWIND idea applied per
-  // round), the rest streamed at the bucket's fetch priority. Returns
-  // end_round()'s verdict.
-  bool run_round(std::uint32_t round) {
+  // One priority round over the planned tiles — cached ones processed in
+  // place (the REWIND idea applied per round), the rest streamed at the
+  // bucket's fetch priority. Returns end_round()'s verdict.
+  bool run_round(std::uint32_t round, std::uint32_t bucket) {
     const Timer round_timer;
     const IterationStats before = counters();
-    const std::uint32_t bucket = worklist.drain_min(round_tiles);
-    GSTORE_DCHECK(bucket != TileWorklist::kIdle);
     algo.begin_round(round, bucket);
     stats.max_bucket = std::max(stats.max_bucket, bucket);
-    // drain_min sorts; the bucket is the reads' fetch priority (the async
-    // engine serves lower values first when requests from several rounds
-    // or engines share a queue).
+    // The bucket is the reads' fetch priority (the async engine serves
+    // lower values first when requests from several rounds or engines
+    // share a queue). The returned skip count is dropped: a round's
+    // candidates are its bucket's tiles (see IterationStats).
     exec.run_round(round_tiles, bucket);
 
     // Round-boundary cache analysis, before end_round for the same reason
@@ -190,57 +168,33 @@ struct ScrEngine::Runner {
     if (pool.budget() > 0) policy->analyze(pool, grid, algo);
 
     const bool more = algo.end_round(round, bucket);
-    // Priority mode has no grid scan, hence nothing is ever "skipped".
     record_round(before, bucket, round_timer.seconds());
     ++stats.rounds;
-
-    // Re-file tiles whose priority inputs the round changed. An algorithm
-    // that cannot name its dirty rows gets a full oracle sweep (the same
-    // per-iteration cost the grid scan pays).
-    dirty_rows_scratch.clear();
-    if (algo.dirty_rows(dirty_rows_scratch))
-      refresh_rows(dirty_rows_scratch);
-    else
-      seed_worklist_full();
     return more;
   }
 
-  // Drives worklist rounds to completion. `cold` runs algo.init first; a
-  // non-empty `seed_tiles` (incremental resume) seeds the worklist from the
-  // rows those tiles touch instead of a full grid sweep.
-  EngineStats run_priority(bool cold,
-                           std::span<const std::uint64_t> seed_tiles) {
+  // Drives priority rounds to completion, planning each one after the
+  // previous round's end hook (the first after init, or after reactivate
+  // when `cold` is false).
+  EngineStats run_priority(bool cold) {
     Timer total;
     if (cold) algo.init(store);
-    build_row_tiles();
-    worklist.reset(grid.tile_count());
-    if (seed_tiles.empty()) {
-      seed_worklist_full();
-    } else {
-      std::vector<std::uint32_t> rows;
-      rows.reserve(seed_tiles.size() * 2);
-      for (const std::uint64_t idx : seed_tiles) {
-        const tile::TileCoord c = grid.coord_at(idx);
-        rows.push_back(c.i);
-        if (c.j != c.i) rows.push_back(c.j);
-      }
-      refresh_rows(rows);
-    }
     bool more = true;
     std::uint32_t round = 0;
-    while (more && !worklist.empty() && round < config.max_iterations) {
-      more = run_round(round);
-      ++round;
+    for (; more; ++round) {
+      const std::uint32_t bucket = plan_round();
+      if (bucket == TileAlgorithm::kPriorityIdle) break;
+      GS_CHECK_MSG(round < config.max_iterations,
+                   "algorithm did not converge within max_iterations");
+      more = run_round(round, bucket);
     }
-    GS_CHECK_MSG(!more || worklist.empty(),
-                 "algorithm did not converge within max_iterations");
     stats.iterations = round;
     return exec.finish(total.seconds());
   }
 
   EngineStats run() {
     if (config.schedule == ScheduleMode::kPriority)
-      return run_priority(/*cold=*/true, {});
+      return run_priority(/*cold=*/true);
     Timer total;
     algo.init(store);
     bool more = true;
@@ -267,12 +221,6 @@ struct ScrEngine::Runner {
   EngineStats& stats;
   // The round being run, in ascending layout order.
   std::vector<std::uint64_t> round_tiles;
-  // Priority-mode state: the bucketed worklist, the row→tiles adjacency it
-  // is refreshed through, and per-round scratch.
-  TileWorklist worklist;
-  std::vector<std::vector<std::uint64_t>> row_tiles;
-  std::vector<std::uint8_t> row_mark;
-  std::vector<std::uint32_t> dirty_rows_scratch;
 };
 
 ScrEngine::ScrEngine(tile::TileStore& store, EngineConfig config)
@@ -301,7 +249,7 @@ EngineStats ScrEngine::resume(TileAlgorithm& algo,
                  << ": reactivate declined, falling back to a cold run";
     return runner.run();
   }
-  EngineStats s = runner.run_priority(/*cold=*/false, delta_tiles);
+  EngineStats s = runner.run_priority(/*cold=*/false);
   GS_LOG(Info) << algo.name() << ": incremental resume over "
                << delta_tiles.size() << " delta tiles, " << s.rounds
                << " rounds, " << s.bytes_read / (1 << 20) << " MiB read";

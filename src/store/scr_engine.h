@@ -19,9 +19,9 @@
 // been drained; run() rethrows it to the caller.
 //
 // ScheduleMode::kPriority replaces the grid-order iteration with bucketed
-// worklist rounds (docs/SCHEDULING.md): each round drains the minimum
-// priority bucket of tiles, runs the same pass over them, and re-files tiles
-// whose priority the algorithm's updates changed.
+// rounds (docs/SCHEDULING.md): before each round one scan over the tiles
+// carrying data asks the algorithm's tile_priority, and the round runs the
+// same pass over the lowest bucket's tiles, in layout order.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +39,9 @@ namespace gstore::store {
 // How the engine orders tile work within a run.
 //   kGrid     — the paper's scheme: every iteration scans needed tiles in
 //               physical layout order.
-//   kPriority — delta-stepping worklist: tiles carry algorithm-assigned
-//               priorities and rounds drain the minimum bucket first. The
-//               worklist does selective fetch's job: an idle tile is simply
-//               never filed.
+//   kPriority — delta-stepping rounds: tiles carry algorithm-assigned
+//               priorities and each round runs the minimum bucket's tiles.
+//               An idle tile is in no bucket, so it is never fetched.
 enum class ScheduleMode { kGrid, kPriority };
 
 struct EngineConfig {
@@ -62,10 +61,10 @@ struct EngineConfig {
 
 // Per-iteration breakdown: how the working set and I/O evolve as frontiers
 // grow/shrink and the cache warms (what the paper's Figure 8 timeline shows).
-// In priority mode one entry covers one worklist *round* (one drained
-// bucket), not one grid sweep: `bucket` records which bucket it drained and
-// tiles_skipped stays 0 — tiles the worklist never filed were not "scanned
-// and skipped", they were never candidates (satellite 3 of ISSUE 10).
+// In priority mode one entry covers one *round* (one bucket), not one grid
+// sweep: `bucket` records which bucket it ran, and tiles_skipped stays 0 —
+// a round's candidates are its bucket's tiles, so tiles in other buckets or
+// in none were not "skipped" by it.
 struct IterationStats {
   static constexpr std::uint32_t kNoBucket = 0xffffffffu;  // grid-mode entry
   std::uint64_t tiles_from_disk = 0;
@@ -73,7 +72,7 @@ struct IterationStats {
   std::uint64_t tiles_skipped = 0;
   std::uint64_t edges_processed = 0;
   std::uint64_t bytes_fetched = 0;   // base-tile bytes read this round/iter
-  std::uint32_t bucket = kNoBucket;  // drained worklist bucket (priority mode)
+  std::uint32_t bucket = kNoBucket;  // the round's bucket (priority mode)
   double seconds = 0;
 };
 
@@ -81,10 +80,10 @@ struct EngineStats {
   // Grid mode: grid sweeps. Priority mode and serve gangs: rounds (same
   // value as `rounds`), so convergence comparisons read one field.
   std::uint32_t iterations = 0;
-  // Worklist rounds executed (0 in grid mode; a round drains one bucket),
-  // or a serve gang's rounds (one iteration of every active job).
+  // Priority rounds executed (0 in grid mode; a round runs one bucket), or
+  // a serve gang's rounds (one iteration of every active job).
   std::uint64_t rounds = 0;
-  // Highest bucket any round drained (0 when rounds == 0).
+  // Highest bucket any round ran (0 when rounds == 0).
   std::uint32_t max_bucket = 0;
   // Base-tile bytes fetched in rounds/iterations whose processing produced
   // zero label updates (last_round_updates() == 0) — I/O that bought no
@@ -139,8 +138,8 @@ class ScrEngine {
   // rerunning from scratch. `algo` must hold the converged state of a prior
   // run over the same store, and the overlay carrying the new edges must be
   // attached to the store before the call. Falls back to a cold run() when
-  // the algorithm's reactivate() declines. Always uses priority scheduling —
-  // the worklist is what makes "only the affected tiles" expressible.
+  // the algorithm's reactivate() declines. Always uses priority scheduling:
+  // after reactivate, tile_priority names exactly the affected tiles.
   EngineStats resume(TileAlgorithm& algo,
                      std::span<const std::uint64_t> delta_tiles);
 

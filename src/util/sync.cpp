@@ -1,8 +1,8 @@
 // Lockdep-lite: runtime lock-order checking behind GSTORE_DCHECK builds.
 //
-// Model (a small subset of the kernel's lockdep): each Mutex/SharedMutex
-// instance is a node; acquiring B while holding A inserts the directed edge
-// A → B into a global order graph the first time that pair is seen. An
+// Model (a small subset of the kernel's lockdep): each Mutex instance is a
+// node; acquiring B while holding A inserts the directed edge A → B into a
+// global order graph the first time that pair is seen. An
 // acquisition whose new edge closes a cycle (B is already an ancestor of A)
 // is a potential deadlock — two threads interleaving those two orders can
 // block forever — and aborts with the current thread's held stack and the

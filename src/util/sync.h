@@ -1,5 +1,5 @@
 // Annotated synchronization primitives: the only place in the codebase that
-// may touch <mutex>/<shared_mutex>/<condition_variable> directly
+// may touch <mutex>/<condition_variable> directly
 // (tools/check_concurrency.py rule R4 enforces this).
 //
 // Two layers, both zero-cost in release builds:
@@ -27,7 +27,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/dcheck.h"
 
@@ -51,20 +50,14 @@
 #define GSTORE_GUARDED_BY(x) GSTORE_THREAD_ANNOTATION_(guarded_by(x))
 // On pointer members: the pointed-to data requires the capability.
 #define GSTORE_PT_GUARDED_BY(x) GSTORE_THREAD_ANNOTATION_(pt_guarded_by(x))
-// On functions: caller must hold (exclusively / shared) the capabilities.
+// On functions: caller must hold the capabilities.
 #define GSTORE_REQUIRES(...) \
   GSTORE_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define GSTORE_REQUIRES_SHARED(...) \
-  GSTORE_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 // On functions: the function acquires / releases the capabilities.
 #define GSTORE_ACQUIRE(...) \
   GSTORE_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define GSTORE_ACQUIRE_SHARED(...) \
-  GSTORE_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define GSTORE_RELEASE(...) \
   GSTORE_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define GSTORE_RELEASE_SHARED(...) \
-  GSTORE_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 #define GSTORE_TRY_ACQUIRE(...) \
   GSTORE_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 // On functions: caller must NOT hold the capabilities (deadlock guard).
@@ -154,62 +147,6 @@ class GSTORE_CAPABILITY("mutex") Mutex {
 #endif
 };
 
-// Reader/writer mutex. Lockdep treats shared and exclusive acquisitions of
-// the same lock identically (conservative: flags shared/shared orderings a
-// real deadlock needs a writer to close — cheap to keep consistent instead).
-class GSTORE_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() : SharedMutex("shared_mutex") {}
-  explicit SharedMutex(const char* name) {
-#if GSTORE_LOCKDEP
-    name_ = name;
-    ld_id_ = sync_detail::register_lock(name);
-#else
-    (void)name;
-#endif
-  }
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() GSTORE_ACQUIRE() {
-#if GSTORE_LOCKDEP
-    sync_detail::before_acquire(ld_id_, name_);
-    m_.lock();
-    sync_detail::on_acquired(ld_id_, name_);
-#else
-    m_.lock();
-#endif
-  }
-  void unlock() GSTORE_RELEASE() {
-#if GSTORE_LOCKDEP
-    sync_detail::on_release(ld_id_);
-#endif
-    m_.unlock();
-  }
-  void lock_shared() GSTORE_ACQUIRE_SHARED() {
-#if GSTORE_LOCKDEP
-    sync_detail::before_acquire(ld_id_, name_);
-    m_.lock_shared();
-    sync_detail::on_acquired(ld_id_, name_);
-#else
-    m_.lock_shared();
-#endif
-  }
-  void unlock_shared() GSTORE_RELEASE_SHARED() {
-#if GSTORE_LOCKDEP
-    sync_detail::on_release(ld_id_);
-#endif
-    m_.unlock_shared();
-  }
-
- private:
-  std::shared_mutex m_;
-#if GSTORE_LOCKDEP
-  const char* name_ = "shared_mutex";
-  std::uint64_t ld_id_ = 0;
-#endif
-};
-
 // RAII exclusive lock.
 class GSTORE_SCOPED_CAPABILITY MutexLock {
  public:
@@ -220,35 +157,6 @@ class GSTORE_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-// RAII exclusive lock over a SharedMutex (the writer side).
-class GSTORE_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) GSTORE_ACQUIRE(mu) : mu_(&mu) {
-    mu_->lock();
-  }
-  ~WriterMutexLock() GSTORE_RELEASE() { mu_->unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* mu_;
-};
-
-// RAII shared lock over a SharedMutex (the reader side).
-class GSTORE_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) GSTORE_ACQUIRE_SHARED(mu)
-      : mu_(&mu) {
-    mu_->lock_shared();
-  }
-  ~ReaderMutexLock() GSTORE_RELEASE() { mu_->unlock_shared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* mu_;
 };
 
 // Condition variable bound to Mutex. wait() must be called with `mu` held;

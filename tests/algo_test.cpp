@@ -309,6 +309,57 @@ TEST(TileSssp, ShorterMultiHopBeatsHeavyDirect) {
     EXPECT_FLOAT_EQ(sssp.distances()[v], want[v]);
 }
 
+tile::TileStore small_tile_store(const io::TempDir& dir, const EdgeList& el) {
+  tile::ConvertOptions o;
+  o.tile_bits = 5;  // 16 tile rows
+  return gstore::testing::make_store(dir, el, o);
+}
+
+// A grid-mode run relaxes into the pending-row marks that priority rounds
+// read, and never drains them. Priority rounds ask every tile's priority,
+// so after reactivate() only the delta tile's two rows may hold work.
+TEST(TileSssp, ReactivateArmsOnlyTheDeltaTilesRows) {
+  io::TempDir dir;
+  auto store =
+      small_tile_store(dir, graph::kronecker(9, 6, GraphKind::kUndirected, 7));
+  TileSssp sssp(0);
+  store::ScrEngine(store).run(sssp);
+  const tile::Grid& grid = store.grid();
+  const std::uint64_t delta = grid.layout_index(1, 3);
+  ASSERT_TRUE(
+      sssp.reactivate(store, std::span<const std::uint64_t>(&delta, 1)));
+  std::uint64_t armed = 0;
+  for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
+    const tile::TileCoord c = grid.coord_at(idx);
+    const bool idle =
+        sssp.tile_priority(c.i, c.j) == store::TileAlgorithm::kPriorityIdle;
+    const bool in_delta_rows = c.i == 1 || c.i == 3 || c.j == 1 || c.j == 3;
+    if (!in_delta_rows)
+      EXPECT_TRUE(idle) << "tile (" << c.i << "," << c.j << ")";
+    else if (!idle)
+      ++armed;
+  }
+  EXPECT_GT(armed, 0u);
+}
+
+// With a delta this small every row past distance 6.5536 lands at or above
+// kMaxBucket, so most of the run happens in the shared overflow bucket. Its
+// rounds must drain those rows and still reach Dijkstra's distances.
+TEST(TileSssp, OverflowBucketConverges) {
+  io::TempDir dir;
+  const EdgeList el = graph::kronecker(9, 6, GraphKind::kUndirected, 7);
+  auto store = small_tile_store(dir, el);
+  TileSssp sssp(0);
+  sssp.set_delta(1e-4f);
+  store::EngineConfig cfg;
+  cfg.schedule = store::ScheduleMode::kPriority;
+  const auto stats = store::ScrEngine(store, cfg).run(sssp);
+  EXPECT_EQ(stats.max_bucket, store::TileAlgorithm::kMaxBucket);
+  const auto want = ref_sssp(el, 0);
+  for (vid_t v = 0; v < el.vertex_count(); ++v)
+    ASSERT_FLOAT_EQ(sssp.distances()[v], want[v]) << "vertex " << v;
+}
+
 }  // namespace
 }  // namespace gstore::algo
 // Appended: all four on-disk format variants must produce identical results.

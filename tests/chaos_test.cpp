@@ -323,7 +323,7 @@ TEST(Chaos, PriorityScheduleSurvivesFaultStormBitForBit) {
   std::uint64_t recovered = 0;
 
   {
-    // Clean grid order is the reference; the faulty run uses the worklist
+    // Clean grid order is the reference; the faulty run uses the priority
     // scheduler — two schedules AND a fault storm between the runs, and the
     // fixpoints must still agree bit for bit.
     algo::TileBfs a(1), b(1);

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 
+#include "algo/bfs.h"
 #include "graph/generator.h"
 #include "store/scr_engine.h"
 #include "test_util.h"
 #include "util/status.h"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace gstore::store {
 namespace {
@@ -446,132 +452,187 @@ TEST(ScrEngine, RewindThrowWithReadsInFlightUnwindsCleanly) {
 
 }  // namespace
 }  // namespace gstore::store
-// Appended: priority-driven selective scheduling (ISSUE 10).
-#include "store/worklist.h"
-
+// Appended: priority scheduling.
 namespace gstore::store {
 namespace {
 
-TEST(TileWorklist, DrainsBucketsAscendingAndTilesInLayoutOrder) {
-  TileWorklist wl;
-  wl.reset(16);
-  wl.push(3, 5);
-  wl.push(7, 2);
-  wl.push(1, 2);
-  wl.push(11, 9);
-  EXPECT_EQ(wl.size(), 4u);
-  EXPECT_EQ(wl.priority_of(7), 2u);
-  std::vector<std::uint64_t> out;
-  EXPECT_EQ(wl.drain_min(out), 2u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 7}));
-  EXPECT_EQ(wl.drain_min(out), 5u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{3}));
-  EXPECT_EQ(wl.drain_min(out), 9u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{11}));
-  EXPECT_TRUE(wl.empty());
-  EXPECT_EQ(wl.drain_min(out), TileWorklist::kIdle);
-}
-
-TEST(TileWorklist, LazyRefileDeliversEachTileOnce) {
-  TileWorklist wl;
-  wl.reset(8);
-  wl.push(4, 8);
-  wl.push(4, 3);  // improve: the bucket-8 entry goes stale
-  EXPECT_EQ(wl.size(), 1u);
-  std::vector<std::uint64_t> out;
-  EXPECT_EQ(wl.drain_min(out), 3u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{4}));
-  // The stale bucket-8 entry must not resurface.
-  EXPECT_EQ(wl.drain_min(out), TileWorklist::kIdle);
-  EXPECT_TRUE(out.empty());
-  // Worsening a priority also refiles (engine re-pushes after each round).
-  wl.push(4, 2);
-  wl.push(4, 6);
-  EXPECT_EQ(wl.size(), 1u);
-  EXPECT_EQ(wl.drain_min(out), 6u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{4}));
-}
-
-TEST(TileWorklist, IdlePushAndDeactivateUnfile) {
-  TileWorklist wl;
-  wl.reset(8);
-  wl.push(2, 4);
-  wl.push(5, 4);
-  wl.push(2, TileWorklist::kIdle);
-  wl.deactivate(5);
-  wl.deactivate(5);  // idempotent
-  EXPECT_TRUE(wl.empty());
-  std::vector<std::uint64_t> out;
-  EXPECT_EQ(wl.drain_min(out), TileWorklist::kIdle);
-  EXPECT_EQ(wl.priority_of(2), TileWorklist::kIdle);
-}
-
-TEST(TileWorklist, PathologicalPrioritiesShareTheOverflowBucket) {
-  TileWorklist wl;
-  wl.reset(4);
-  wl.push(0, TileWorklist::kMaxBucket + 1000);
-  wl.push(1, 0xfffffffeu);  // kIdle - 1, the largest non-idle priority
-  wl.push(2, 1);
-  std::vector<std::uint64_t> out;
-  EXPECT_EQ(wl.drain_min(out), 1u);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{2}));
-  // Both clamped tiles drain together from the single overflow bucket.
-  EXPECT_EQ(wl.drain_min(out), TileWorklist::kMaxBucket);
-  EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 1}));
-  EXPECT_TRUE(wl.empty());
-}
-
-// Orders tiles by their row index and records which bucket each round
-// drained — the engine must deliver rounds in ascending bucket order, each
-// containing exactly that row's tiles.
+// Gives each tile `offset` + (its row / rows_per_bucket) as priority until a
+// round has run that row's tiles, and records every round's bucket and its
+// tiles in the order they were processed.
 class RowPriorityAlgo final : public TileAlgorithm {
  public:
+  struct Round {
+    std::uint32_t bucket = 0;
+    std::vector<std::uint64_t> tiles;
+  };
+
+  explicit RowPriorityAlgo(std::uint32_t offset = 0,
+                           std::uint32_t rows_per_bucket = 1)
+      : offset_(offset), rows_per_bucket_(rows_per_bucket) {}
+
   std::string name() const override { return "row-priority"; }
-  void init(const tile::TileStore& store) override { grid_ = &store.grid(); }
+  void init(const tile::TileStore& store) override {
+    grid_ = &store.grid();
+    drained_.assign(grid_->p(), 0);
+    rounds_.clear();
+  }
   void begin_round(std::uint32_t, std::uint32_t bucket) override {
-    bucket_ = bucket;
-    round_buckets_.push_back(bucket);
+    rounds_.push_back(Round{bucket, {}});
   }
   void process_tile(const tile::TileView& view) override {
     std::lock_guard<std::mutex> lock(mu_);
-    EXPECT_EQ(view.coord.i, bucket_);
-    ++tiles_seen_;
+    rounds_.back().tiles.push_back(
+        grid_->layout_index(view.coord.i, view.coord.j));
   }
-  bool end_round(std::uint32_t, std::uint32_t) override { return true; }
+  // Rows whose tiles ran go idle; the run ends when no row has work left.
+  bool end_round(std::uint32_t, std::uint32_t) override {
+    for (const std::uint64_t idx : rounds_.back().tiles)
+      drained_[grid_->coord_at(idx).i] = 1;
+    return true;
+  }
   void begin_iteration(std::uint32_t) override {}
   bool end_iteration(std::uint32_t) override { return true; }
   std::uint32_t tile_priority(std::uint32_t i, std::uint32_t) const override {
-    return i;
+    return drained_[i] ? kPriorityIdle : offset_ + i / rows_per_bucket_;
   }
-  // Nothing ever changes priority: drained tiles stay drained, so the run
-  // ends when the seeded worklist empties.
-  bool dirty_rows(std::vector<std::uint32_t>&) const override { return true; }
 
-  std::vector<std::uint32_t> round_buckets_;
-  std::uint64_t tiles_seen_ = 0;
+  std::vector<Round> rounds_;
 
  private:
+  const std::uint32_t offset_;
+  const std::uint32_t rows_per_bucket_;
   const tile::Grid* grid_ = nullptr;
-  std::uint32_t bucket_ = 0;
+  std::vector<std::uint8_t> drained_;
   std::mutex mu_;
 };
+
+// The tile rows that hold at least one tile with base bytes, ascending.
+std::vector<std::uint32_t> rows_with_data(const tile::TileStore& store) {
+  std::set<std::uint32_t> rows;
+  for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
+    if (store.tile_bytes(k) != 0) rows.insert(store.grid().coord_at(k).i);
+  return {rows.begin(), rows.end()};
+}
+
+EngineConfig priority_config() {
+  EngineConfig cfg = tiny_memory();
+  cfg.schedule = ScheduleMode::kPriority;
+  return cfg;
+}
 
 TEST(ScrEngine, PriorityRoundsDrainAscendingBuckets) {
   io::TempDir dir;
   auto store = kron_store(dir);
-  EngineConfig cfg = tiny_memory();
-  cfg.schedule = ScheduleMode::kPriority;
   RowPriorityAlgo algo;
-  const auto stats = ScrEngine(store, cfg).run(algo);
-  ASSERT_FALSE(algo.round_buckets_.size() == 0);
-  for (std::size_t k = 1; k < algo.round_buckets_.size(); ++k)
-    EXPECT_LT(algo.round_buckets_[k - 1], algo.round_buckets_[k]);
-  std::uint64_t nonempty = 0;
+  const auto stats = ScrEngine(store, priority_config()).run(algo);
+  // One round per row with data, in ascending order, each holding exactly
+  // that row's tiles.
+  const std::vector<std::uint32_t> rows = rows_with_data(store);
+  ASSERT_EQ(algo.rounds_.size(), rows.size());
+  std::uint64_t seen = 0;
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const RowPriorityAlgo::Round& r = algo.rounds_[k];
+    EXPECT_EQ(r.bucket, rows[k]);
+    EXPECT_EQ(stats.per_iteration[k].bucket, rows[k]);
+    for (const std::uint64_t idx : r.tiles)
+      EXPECT_EQ(store.grid().coord_at(idx).i, rows[k]);
+    seen += r.tiles.size();
+  }
+  EXPECT_EQ(seen, nonempty_tile_count(store));  // every tile exactly once
+  EXPECT_EQ(stats.rounds, rows.size());
+  EXPECT_EQ(stats.max_bucket, rows.back());
+}
+
+// Pins one OpenMP thread for a scope, so tiles are processed in the order
+// the engine planned them.
+class OneThread {
+ public:
+  OneThread() {
+#ifdef _OPENMP
+    saved_ = omp_get_max_threads();
+    omp_set_num_threads(1);
+#endif
+  }
+  ~OneThread() {
+#ifdef _OPENMP
+    omp_set_num_threads(saved_);
+#endif
+  }
+  OneThread(const OneThread&) = delete;
+  OneThread& operator=(const OneThread&) = delete;
+
+ private:
+  [[maybe_unused]] int saved_ = 1;
+};
+
+TEST(ScrEngine, PriorityRoundRunsItsTilesInLayoutOrder) {
+  io::TempDir dir;
+  auto store = kron_store(dir);
+  // No pool: every tile is fetched, and on one thread the fetch order is
+  // the processing order. Four rows per bucket, so a round spans several
+  // tile groups and layout order differs from row-major order.
+  EngineConfig cfg = priority_config();
+  cfg.policy = CachePolicyKind::kNone;
+  cfg.rewind = false;
+  const OneThread one_thread;
+  RowPriorityAlgo algo(/*offset=*/0, /*rows_per_bucket=*/4);
+  ScrEngine(store, cfg).run(algo);
+  ASSERT_GT(algo.rounds_.size(), 1u);
+  std::uint64_t seen = 0;
+  for (const RowPriorityAlgo::Round& r : algo.rounds_) {
+    EXPECT_FALSE(r.tiles.empty());
+    EXPECT_TRUE(std::is_sorted(r.tiles.begin(), r.tiles.end()))
+        << "round for bucket " << r.bucket;
+    seen += r.tiles.size();
+  }
+  EXPECT_EQ(seen, nonempty_tile_count(store));
+}
+
+TEST(ScrEngine, PrioritiesPastMaxBucketShareOneRound) {
+  io::TempDir dir;
+  auto store = kron_store(dir);
+  const std::vector<std::uint32_t> rows = rows_with_data(store);
+  ASSERT_GE(rows.size(), 4u);
+  ASSERT_EQ(rows[1], 1u);
+  // Rows 0 and 1 land just under the overflow bucket, every later row at
+  // or above it — rows far past it included.
+  constexpr std::uint32_t kMax = TileAlgorithm::kMaxBucket;
+  RowPriorityAlgo algo(/*offset=*/kMax - 2);
+  const auto stats = ScrEngine(store, priority_config()).run(algo);
+  ASSERT_EQ(algo.rounds_.size(), 3u);
+  EXPECT_EQ(algo.rounds_[0].bucket, kMax - 2);
+  EXPECT_EQ(algo.rounds_[1].bucket, kMax - 1);
+  EXPECT_EQ(algo.rounds_[2].bucket, kMax);
+  std::uint64_t later_rows = 0;
   for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
-    if (store.tile_edge_count(k) > 0) ++nonempty;
-  EXPECT_EQ(algo.tiles_seen_, nonempty);  // every tile exactly once
-  EXPECT_EQ(stats.rounds, algo.round_buckets_.size());
-  EXPECT_EQ(stats.max_bucket, algo.round_buckets_.back());
+    if (store.tile_bytes(k) != 0 && store.grid().coord_at(k).i >= 2)
+      ++later_rows;
+  EXPECT_EQ(algo.rounds_[2].tiles.size(), later_rows);
+  EXPECT_EQ(stats.max_bucket, kMax);
+  EXPECT_EQ(stats.per_iteration.back().bucket, kMax);
+}
+
+// Every grid iteration accounts for every tile with base bytes exactly
+// once: read from disk, taken from the pool, or skipped. Under LRU the pool
+// also holds tiles the iteration does not need; those count as skipped.
+TEST(ScrEngine, GridIterationAccountsEveryTile) {
+  io::TempDir dir;
+  auto store = kron_store(dir, 9, 6);
+  const std::uint64_t tiles = nonempty_tile_count(store);
+  for (const CachePolicyKind policy :
+       {CachePolicyKind::kProactive, CachePolicyKind::kLru}) {
+    EngineConfig cfg = half_cached(store);
+    cfg.policy = policy;
+    algo::TileBfs bfs(0);
+    const auto stats = ScrEngine(store, cfg).run(bfs);
+    ASSERT_GT(stats.per_iteration.size(), 2u);
+    for (std::size_t k = 0; k < stats.per_iteration.size(); ++k) {
+      const IterationStats& it = stats.per_iteration[k];
+      EXPECT_EQ(it.tiles_from_disk + it.tiles_from_cache + it.tiles_skipped,
+                tiles)
+          << "policy " << static_cast<int>(policy) << ", iteration " << k;
+    }
+  }
 }
 
 TEST(ScrEngine, PriorityModeCoversSameTilesAsGrid) {

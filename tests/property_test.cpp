@@ -636,9 +636,9 @@ TEST(PropertyDegrees, OverflowFlagRoundTrips) {
 
 }  // namespace
 }  // namespace gstore
-// Appended: priority-schedule equivalence (ISSUE 10).
+// Appended: priority-schedule equivalence.
 //
-// The worklist scheduler changes WHICH tiles are fetched WHEN — never what
+// The priority scheduler changes WHICH tiles are fetched WHEN — never what
 // the algorithms compute. BFS and SSSP converge to order-independent
 // fixpoints, so priority mode must be bit-identical to grid order at every
 // tile width, with and without an overlay, on v2 and v3 stores. PageRank-

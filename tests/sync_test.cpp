@@ -35,14 +35,6 @@ TEST(SyncTest, TryLockReflectsOwnership) {
   mu.unlock();
 }
 
-TEST(SyncTest, SharedMutexAllowsConcurrentReaders) {
-  SharedMutex mu{"test::rw_mu"};
-  ReaderMutexLock first(mu);
-  // A second reader on another thread must not block behind the first.
-  std::thread reader([&] { ReaderMutexLock second(mu); });
-  reader.join();
-}
-
 TEST(SyncTest, CondVarWaitReleasesAndReacquires) {
   Mutex mu{"test::cv_mu"};
   CondVar cv;

@@ -6,7 +6,7 @@ rather than source text:
 
   GL1 blocking-under-lock   no syscall / file I/O / sleep reachable (over the
                             call graph) and no direct allocation while a
-                            gstore::Mutex / SharedMutex guard is held.
+                            gstore::Mutex guard is held.
   GL2 pin escape            BufferPin values must not be stored into members
                             or containers outside the audited cache-pool
                             owner.

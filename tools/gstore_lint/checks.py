@@ -59,9 +59,8 @@ COLD_NAMES = {
 # The synchronization component itself (lock/unlock/wait plumbing and
 # lockdep bookkeeping) is the mechanism, not a subject.
 SYNC_PREFIXES = (
-    "gstore::Mutex::", "gstore::SharedMutex::", "gstore::CondVar::",
-    "gstore::MutexLock", "gstore::WriterMutexLock",
-    "gstore::ReaderMutexLock", "gstore::sync_detail::",
+    "gstore::Mutex::", "gstore::CondVar::", "gstore::MutexLock",
+    "gstore::sync_detail::",
 )
 SYNC_COMPONENT = ("src/util/sync.h", "src/util/sync.cpp")
 

@@ -3,8 +3,8 @@
 The interesting structural facts, verified against GCC 12 dumps:
 
   * A guard scope is a `try_finally_expr` whose finalizer calls a
-    function_decl carrying `note: destructor` whose class is one of the
-    gstore guard types (MutexLock / WriterMutexLock / ReaderMutexLock).
+    function_decl carrying `note: destructor` whose class is the gstore
+    guard type (MutexLock).
     The guarded region is the try body (`op 0`).
   * A noexcept function's body is rooted at `must_not_throw_expr`.
   * `try_block` + `handler` without a `type:` attribute is catch(...);
@@ -25,7 +25,7 @@ from .model import (AcquireEvent, ArithEvent, AtomicOpEvent, CallEvent,
                     CompletionEvent, FnModel, PinStoreEvent, RawSyncEvent,
                     TaintEvent, ThrowEvent)
 
-GUARD_CLASSES = {"MutexLock", "WriterMutexLock", "ReaderMutexLock"}
+GUARD_CLASSES = {"MutexLock"}
 PIN_TYPEDEF = "BufferPin"
 COMPLETION_RECORD = "Completion"
 COMPLETION_CHECK_FIELDS = {"ok", "error"}

@@ -46,7 +46,7 @@ from .gccfront import COLD_VALIDATORS, DERIVED_RECORDS, INDEX_RECORDS, \
 from .model import AcquireEvent, ArithEvent, CallEvent, CompletionEvent, \
     FnModel, PinStoreEvent, TaintEvent
 
-GUARD_CLASSES = {"MutexLock", "WriterMutexLock", "ReaderMutexLock"}
+GUARD_CLASSES = {"MutexLock"}
 WIRE_RECORDS = {
     "TilesFileHeader", "WalFileHeader", "WalFrameHeader", "FaultSpec",
     "TileStoreMeta", "TilePayloadHeader",

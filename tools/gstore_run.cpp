@@ -8,7 +8,7 @@
 //   gstore_run --store=/data/kron20 --algo=sssp --follow-wal --incremental
 //
 // Prints run statistics (iterations, bytes read, cache hits, timings) and an
-// algorithm-specific summary. --schedule=priority drives the worklist
+// algorithm-specific summary. --schedule=priority drives the priority
 // scheduler (docs/SCHEDULING.md); --incremental runs cold without the
 // overlay first, then resumes over only the WAL delta's tiles.
 #include <algorithm>
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
                 "overlay un-compacted edges from <store>.wal onto the run");
   opts.add("schedule", "grid",
            "tile schedule: grid (row-order slide) | priority (bucketed "
-           "worklist, highest-priority tiles first)");
+           "rounds, highest-priority tiles first)");
   opts.add_flag("incremental",
                 "with --follow-wal: run cold without the overlay, then attach "
                 "it and resume over only the delta's tiles (bfs/sssp/"

@@ -85,7 +85,7 @@ if [[ ${GSTORE_SKIP_TAB2:-0} != 1 ]]; then
   stamp "$repo_root/BENCH_tab2_space.json"
 fi
 
-# Scheduling baseline (grid vs priority worklists: sweeps-to-convergence and
+# Scheduling baseline (grid vs priority rounds: sweeps-to-convergence and
 # bytes fetched for BFS/SSSP/PageRank-delta on a skewed graph). Writes
 # BENCH_priority.json into its cwd, so run it from the repo root. The binary
 # exits non-zero if the two schedules disagree bit-for-bit on BFS/SSSP.
