@@ -70,6 +70,18 @@ inline bool atomic_cas(T* p, T expected, T desired) noexcept {
                                      std::memory_order_relaxed);
 }
 
+// Relaxed write of a location other workers may be reading or CASing. For
+// values where any concurrently written value is acceptable (union-find's
+// path halving: every ancestor is a valid parent), this replaces a CAS.
+template <typename T>
+inline void atomic_store(T* p, T val) noexcept {
+  if (!concurrent_execution()) {
+    *p = val;
+    return;
+  }
+  std::atomic_ref<T>(*p).store(val, std::memory_order_relaxed);
+}
+
 // Atomic floating-point accumulate.
 template <typename T>
 inline void atomic_add(T* p, T val) noexcept {

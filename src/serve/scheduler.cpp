@@ -180,8 +180,9 @@ struct SharedScheduler::Runner {
   // runs after the jobs' end_iteration. By then BFS and SSSP have promoted
   // their next-iteration flags and cleared them, so tile_useful_next is
   // false for every tile and the analysis evicts whatever only those jobs
-  // pinned: nothing they cached survives into their next round. Only jobs
-  // whose oracle outlives end_iteration (PageRank, WCC) keep pooled tiles.
+  // pinned: nothing they cached survives into their next round. Only
+  // PageRank, whose oracle outlives end_iteration, keeps pooled tiles (WCC
+  // is one sweep and pins nothing).
   // ROADMAP.md lists the fix and why it waits.
   void analyze_cache() {
     charged.fill(0);

@@ -72,7 +72,7 @@ class TileAlgorithm {
   }
 
   // Proactive-caching oracle. Default: everything is worth caching (true for
-  // PageRank/WCC, where the whole graph is reused each iteration).
+  // PageRank, which reuses the whole graph each iteration).
   virtual bool tile_useful_next(std::uint32_t /*i*/, std::uint32_t /*j*/) const {
     return true;
   }

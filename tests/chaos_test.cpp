@@ -281,7 +281,7 @@ TEST(Chaos, SyncBackendHonorsTheSameRetryContract) {
   // per-request routine the workers run, and overlap_io == false waits for
   // each segment as soon as it is submitted; results must match the clean
   // run just the same. The store outgrows the stream memory and there is no
-  // pool and no rewind, so every iteration rereads its tiles in many
+  // pool and no rewind, so WCC's one sweep reads its tiles in several
   // batches and the engine's reads, not just open's, draw faults.
   io::TempDir dir;
   const auto el = graph::kronecker(10, 8, GraphKind::kUndirected, 37);

@@ -8,7 +8,10 @@
 #include <stdexcept>
 
 #include "algo/bfs.h"
+#include "algo/cc.h"
+#include "algo/reference.h"
 #include "graph/generator.h"
+#include "ingest/delta.h"
 #include "store/scr_engine.h"
 #include "test_util.h"
 #include "util/status.h"
@@ -720,6 +723,55 @@ TEST(ScrEngine, PriorityModeCachesAcrossRounds) {
   EXPECT_GT(stats.per_iteration[1].tiles_from_cache, 0u);
   EXPECT_EQ(stats.bytes_read,
             store.bytes_of_range(0, store.grid().tile_count()));
+}
+
+// ---- WCC's exact work ------------------------------------------------------
+
+// Union-find WCC reads the store once, whatever the schedule: one sweep, no
+// pooled tile, every tile's bytes and edges exactly once, and ref_wcc's
+// labels, with and without an overlay, and with a pool smaller than the
+// graph. tests/CMakeLists.txt also runs this at one and at four OpenMP
+// threads.
+TEST(WccExactWork, GridAndPriorityReadEveryTileOnce) {
+  io::TempDir dir;
+  const auto el = graph::kronecker(10, 8, GraphKind::kUndirected, 17);
+  tile::ConvertOptions o;
+  o.tile_bits = 5;
+  o.group_side = 3;
+  auto store = gstore::testing::make_store(dir, el, o);
+  std::uint64_t tile_bytes = 0;
+  for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
+    tile_bytes += store.tile_bytes(k);
+  ASSERT_GT(nonempty_tile_count(store), 100u);
+
+  const auto extra =
+      graph::uniform_random(el.vertex_count(), 200, GraphKind::kUndirected, 5);
+  ingest::DeltaBuffer delta(store.grid(), store.meta(), 1 << 20);
+  delta.add_batch(extra.edges());
+  std::vector<graph::Edge> all = el.edges();
+  for (const bool overlaid : {false, true}) {
+    if (overlaid) {
+      store.attach_overlay(&delta);
+      all.insert(all.end(), extra.edges().begin(), extra.edges().end());
+    }
+    const auto want = algo::ref_wcc(
+        graph::EdgeList(all, el.vertex_count(), GraphKind::kUndirected));
+    for (const ScheduleMode mode :
+         {ScheduleMode::kGrid, ScheduleMode::kPriority}) {
+      SCOPED_TRACE(std::string(overlaid ? "overlay, " : "no overlay, ") +
+                   (mode == ScheduleMode::kGrid ? "grid" : "priority"));
+      EngineConfig cfg = half_cached(store);
+      cfg.schedule = mode;
+      algo::TileWcc wcc;
+      const auto stats = ScrEngine(store, cfg).run(wcc);
+      EXPECT_EQ(stats.iterations, 1u);
+      EXPECT_EQ(stats.tiles_from_cache, 0u);
+      EXPECT_EQ(stats.bytes_read, tile_bytes);
+      EXPECT_EQ(stats.edges_processed,
+                store.edge_count() + (overlaid ? delta.edge_count() : 0));
+      EXPECT_EQ(wcc.labels(), want);
+    }
+  }
 }
 
 }  // namespace

@@ -735,6 +735,53 @@ TEST(IncrementalRecompute, SsspResumeMatchesColdRerun) {
   EXPECT_LT(resume_stats.bytes_read, cold_stats.bytes_read);
 }
 
+// New edges only merge components, so WCC resumes from its converged labels:
+// one round over the delta's tiles, then the compress pass, must give the
+// labels of a cold run over base ∪ delta.
+TEST(IncrementalRecompute, WccResumeMatchesColdRerun) {
+  io::TempDir dir;
+  const graph::EdgeList full = strip_self_loops(
+      graph::kronecker(11, 6, graph::GraphKind::kUndirected, 77));
+  graph::EdgeList base;
+  std::vector<graph::Edge> batch;
+  split(full, 0.995, base, batch);
+  batch.resize(std::min<std::size_t>(batch.size(), 12));  // few touched tiles
+
+  tile::ConvertOptions copt;
+  copt.tile_bits = 5;
+  copt.group_side = 2;
+  tile::convert_to_tiles(base, dir.file("g"), copt);
+  auto store = tile::TileStore::open(dir.file("g"));
+
+  store::EngineConfig cfg;
+  cfg.stream_memory_bytes = 96 << 10;
+  cfg.segment_bytes = 8 << 10;
+
+  algo::TileWcc wcc;
+  store::ScrEngine engine(store, cfg);
+  const auto cold_stats = engine.run(wcc);
+  const std::vector<graph::vid_t> cold = wcc.labels();
+
+  // The batch also joins vertex 0's component to the highest vertex
+  // outside it, so the resume has labels to move.
+  graph::vid_t far = static_cast<graph::vid_t>(cold.size() - 1);
+  while (far > 0 && cold[far] == cold[0]) --far;
+  ASSERT_NE(cold[far], cold[0]);
+  batch.push_back({0, far});
+
+  ingest::DeltaBuffer delta(store.grid(), store.meta(), 1 << 20);
+  delta.add_batch(batch);
+  store.attach_overlay(&delta);
+  const auto resume_stats = engine.resume(wcc, delta.take_dirty_tiles());
+
+  algo::TileWcc ref;
+  store::ScrEngine(store, cfg).run(ref);
+  EXPECT_EQ(wcc.labels(), ref.labels());
+  EXPECT_NE(wcc.labels(), cold);
+  EXPECT_EQ(resume_stats.rounds, 1u);
+  EXPECT_LT(resume_stats.bytes_read, cold_stats.bytes_read);
+}
+
 TEST(IncrementalRecompute, BfsDeclinesAndFallsBackToColdRun) {
   io::TempDir dir;
   const graph::EdgeList full = strip_self_loops(

@@ -377,22 +377,67 @@ TEST(PropertyConvert, RandomGraphsSurviveRoundTrip) {
   }
 }
 
-// ---- WCC equals reference on random sparse graphs ---------------------------
+// ---- WCC equals reference across store formats ----------------------------
 
-TEST(PropertyWcc, RandomSparseGraphs) {
-  for (int trial = 0; trial < 8; ++trial) {
-    auto el = graph::uniform_random(300, 200 + 40u * trial,
-                                    GraphKind::kUndirected, 5 + trial);
-    io::TempDir dir;
-    tile::ConvertOptions o;
-    o.tile_bits = 5;
-    auto store = gstore::testing::make_store(dir, el, o);
-    algo::TileWcc wcc;
-    store::ScrEngine(store).run(wcc);
+// Union-find labels each component with its smallest id whatever order the
+// tiles arrive in, so every store format (v3 codecs, uncompressed v2, 8-byte
+// tuples), tile width, edge direction and overlay split must give ref_wcc's
+// labels bit for bit.
+TEST(PropertyWcc, MatchesReferenceAcrossFormatsTileBitsAndOverlay) {
+  struct Format {
+    const char* name;
+    bool compress;
+    bool snb;
+  };
+  std::uint64_t codec_tiles[tile::kTileCodecCount] = {};
+  for (unsigned trial = 0; trial < 10; ++trial) {
+    const unsigned tb = 2 + 3 * (trial / 2);
+    const GraphKind kind =
+        tb % 2 == 0 ? GraphKind::kUndirected : GraphKind::kDirected;
+    // Sparse uniform graphs (many components, plus a giant one) and
+    // Kronecker graphs (hub rows, isolated vertices) pick different codecs.
+    const auto el =
+        trial % 2 == 0
+            ? graph::uniform_random((3u << tb) + 17, (9u << tb) / 4, kind,
+                                    600 + tb)
+            : graph::kronecker(std::min(tb + 2, 12u), 4, kind, 600 + tb);
+    const vid_t n = el.vertex_count();
+    const auto extra = graph::uniform_random(n, n / 8 + 1, kind, 700 + tb);
+    std::vector<graph::Edge> all = el.edges();
+    all.insert(all.end(), extra.edges().begin(), extra.edges().end());
     const auto want = algo::ref_wcc(el);
-    for (vid_t v = 0; v < el.vertex_count(); ++v)
-      ASSERT_EQ(wcc.labels()[v], want[v]) << "trial " << trial;
+    const auto want_overlaid = algo::ref_wcc(EdgeList(all, n, kind));
+    for (const Format f : {Format{"v3", true, true}, Format{"v2", false, true},
+                           Format{"8B tuples", false, false}}) {
+      SCOPED_TRACE(std::string(f.name) + ", trial " + std::to_string(trial));
+      io::TempDir dir;
+      tile::ConvertOptions o;
+      o.tile_bits = tb;
+      o.compress = f.compress;
+      o.snb = f.snb;
+      const auto cs = tile::convert_to_tiles(el, dir.file("g"), o);
+      for (unsigned c = 0; c < tile::kTileCodecCount; ++c)
+        codec_tiles[c] += cs.codec_tiles[c];
+      auto store = tile::TileStore::open(dir.file("g"));
+      algo::TileWcc wcc;
+      store::ScrEngine(store).run(wcc);
+      ASSERT_EQ(wcc.labels(), want);
+      if (!f.snb) continue;  // overlays splice SNB tuples only
+
+      ingest::DeltaBuffer delta(store.grid(), store.meta(), 1 << 20);
+      delta.add_batch(extra.edges());
+      store.attach_overlay(&delta);
+      algo::TileWcc overlaid;
+      store::ScrEngine(store).run(overlaid);
+      ASSERT_EQ(overlaid.labels(), want_overlaid) << "overlay";
+    }
   }
+  // The v3 stores reach every codec the encoder picks: raw, delta, packed
+  // and hybrid (it picks runs for no tile; see ROADMAP item 7).
+  const auto codecs_used = std::count_if(
+      std::begin(codec_tiles), std::end(codec_tiles),
+      [](std::uint64_t tiles) { return tiles > 0; });
+  EXPECT_GE(codecs_used, 4);
 }
 
 // ---- compression codec fuzz -------------------------------------------------

@@ -820,5 +820,34 @@ TEST(SharedScheduler, RewindThrowWithReadsInFlightFailsJobCleanly) {
   EXPECT_TRUE(next.overlapped());
 }
 
+// A WCC job in a gang is one sweep, as in the serial engine, and its labels
+// hash to the serial run's digest; the pool is smaller than the graph and
+// live WAL edges are overlaid. tests/CMakeLists.txt also runs this at one
+// and at four OpenMP threads.
+TEST(JobManager, WccJobIsOneSweepWithSerialDigest) {
+  io::TempDir dir;
+  ingest::EdgeIngestor ingestor(kron_base(dir));
+  const graph::Edge extra[] = {{3, 500}, {17, 260}, {511, 1}};
+  ingestor.ingest(extra);
+  JobSpec spec;
+  spec.kind = JobKind::kWcc;
+  const Json serial = serial_result(ingestor.store(), spec);
+
+  ManagerOptions mo;
+  mo.scheduler =
+      gstore::testing::half_cached<serve::SchedulerConfig>(ingestor.store());
+  JobManager manager(ingestor, mo);
+  Json j = spec.to_json();
+  const std::uint64_t id = manager.submit(j);
+  manager.start();
+  ASSERT_TRUE(manager.wait(id, std::chrono::milliseconds(60000)));
+  const Json r = manager.result(id);
+  ASSERT_EQ(r.at("state").as_string(), "done") << r.dump();
+  EXPECT_EQ(digest_of(r.at("result")), digest_of(serial));
+  EXPECT_EQ(manager.status(id).at("stats").at("iterations").as_uint(), 1u);
+  manager.stop(/*drain=*/true);
+  EXPECT_EQ(manager.stats().at("tiles_from_cache").as_uint(), 0u);
+}
+
 }  // namespace
 }  // namespace gstore

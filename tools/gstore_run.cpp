@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   opts.add_flag("incremental",
                 "with --follow-wal: run cold without the overlay, then attach "
                 "it and resume over only the delta's tiles (bfs/sssp/"
-                "pagerank-delta)");
+                "pagerank-delta/wcc)");
   opts.add_flag("trace", "print per-iteration engine statistics");
 
   try {
@@ -264,6 +264,7 @@ int main(int argc, char** argv) {
       algo::TileWcc wcc;
       const auto s = engine.run(wcc);
       print_stats(s, t.seconds());
+      resume_delta(wcc);
       std::printf("wcc: %llu components\n",
                   static_cast<unsigned long long>(wcc.component_count()));
     } else if (algo == "sssp") {
