@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -71,8 +72,9 @@ inline bool atomic_cas(T* p, T expected, T desired) noexcept {
 }
 
 // Relaxed write of a location other workers may be reading or CASing. For
-// values where any concurrently written value is acceptable (union-find's
-// path halving: every ancestor is a valid parent), this replaces a CAS.
+// values where any concurrently written value is acceptable (a frontier
+// flag; union-find's path halving, where every ancestor is a valid parent),
+// this replaces a CAS.
 template <typename T>
 inline void atomic_store(T* p, T val) noexcept {
   if (!concurrent_execution()) {
@@ -82,27 +84,17 @@ inline void atomic_store(T* p, T val) noexcept {
   std::atomic_ref<T>(*p).store(val, std::memory_order_relaxed);
 }
 
-// Atomic floating-point accumulate.
+// Relaxed atomic add of an integral value. Integer addition is
+// associative, so concurrent adds leave the same sum in any order (the
+// fixed-point PageRanks rely on this for thread-count-independent results).
 template <typename T>
-inline void atomic_add(T* p, T val) noexcept {
+inline void atomic_fetch_add(T* p, T val) noexcept {
+  static_assert(std::is_integral_v<T>, "fixed-point sums only");
   if (!concurrent_execution()) {
     *p += val;
     return;
   }
-  std::atomic_ref<T> ref(*p);
-  T cur = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(cur, cur + val, std::memory_order_relaxed)) {
-  }
-}
-
-// Relaxed atomic flag set on a byte array.
-inline void atomic_set_flag(std::uint8_t* p) noexcept {
-  if (!concurrent_execution()) {
-    *p = 1;
-    return;
-  }
-  std::atomic_ref<std::uint8_t> ref(*p);
-  ref.store(1, std::memory_order_relaxed);
+  std::atomic_ref<T>(*p).fetch_add(val, std::memory_order_relaxed);
 }
 
 }  // namespace gstore::algo

@@ -27,7 +27,7 @@ void TileBfs::begin_iteration(std::uint32_t) { newly_visited_ = 0; }
 
 void TileBfs::visit(graph::vid_t v, std::int32_t next_level) {
   if (atomic_cas(&depth_[v], kUnvisited, next_level)) {
-    atomic_set_flag(&frontier_row_next_[v >> tile_bits_]);
+    atomic_store(&frontier_row_next_[v >> tile_bits_], std::uint8_t{1});
     std::atomic_ref<std::uint64_t>(newly_visited_)
         .fetch_add(1, std::memory_order_relaxed);
   }

@@ -27,7 +27,7 @@ void TileBfsAsync::begin_iteration(std::uint32_t) { relaxed_ = 0; }
 
 void TileBfsAsync::relax(graph::vid_t to, std::int32_t cand) {
   if (atomic_min(&depth_[to], cand)) {
-    atomic_set_flag(&active_row_next_[to >> tile_bits_]);
+    atomic_store(&active_row_next_[to >> tile_bits_], std::uint8_t{1});
     std::atomic_ref<std::uint64_t>(relaxed_).fetch_add(
         1, std::memory_order_relaxed);
   }

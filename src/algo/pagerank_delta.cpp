@@ -97,15 +97,8 @@ void TilePageRankDelta::begin_iteration(std::uint32_t) {
 }
 
 void TilePageRankDelta::deposit(graph::vid_t v, std::uint64_t amount_fx) {
-  if (!concurrent_execution()) {
-    res_fx_[v] += amount_fx;
-    row_res_fx_[v >> tile_bits_] += amount_fx;
-    return;
-  }
-  std::atomic_ref<std::uint64_t>(res_fx_[v])
-      .fetch_add(amount_fx, std::memory_order_relaxed);
-  std::atomic_ref<std::uint64_t>(row_res_fx_[v >> tile_bits_])
-      .fetch_add(amount_fx, std::memory_order_relaxed);
+  atomic_fetch_add(&res_fx_[v], amount_fx);
+  atomic_fetch_add(&row_res_fx_[v >> tile_bits_], amount_fx);
 }
 
 void TilePageRankDelta::process_tile(const tile::TileView& view) {

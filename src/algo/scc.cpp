@@ -44,7 +44,7 @@ void TileReach::process_block(const tile::EdgeBlock& block) {
     if (!atomic_load(&reached_[a]) || atomic_load(&reached_[b])) continue;
     if (mask_ != nullptr && (!(*mask_)[a] || !(*mask_)[b])) continue;
     if (atomic_cas<std::uint8_t>(&reached_[b], 0, 1)) {
-      atomic_set_flag(&frontier_row_next_[b >> tile_bits_]);
+      atomic_store(&frontier_row_next_[b >> tile_bits_], std::uint8_t{1});
       std::atomic_ref<std::uint64_t>(new_reached_)
           .fetch_add(1, std::memory_order_relaxed);
     }

@@ -28,7 +28,7 @@ void TileSssp::begin_iteration(std::uint32_t) { relaxed_ = 0; }
 
 void TileSssp::relax(graph::vid_t to, float cand) {
   if (atomic_min(&dist_[to], cand)) {
-    atomic_set_flag(&active_row_next_[to >> tile_bits_]);
+    atomic_store(&active_row_next_[to >> tile_bits_], std::uint8_t{1});
     atomic_min(&row_pending_[to >> tile_bits_], cand);
     std::atomic_ref<std::uint64_t>(relaxed_).fetch_add(
         1, std::memory_order_relaxed);

@@ -22,10 +22,6 @@
 #include "tile/tile_file.h"
 #include "util/status.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace gstore::store {
 namespace {
 
@@ -54,11 +50,6 @@ io::DeviceConfig fast_backoff(const std::string& fault_spec) {
 }
 
 TEST(Chaos, TransientFaultsPreserveResultsBitForBit) {
-#ifdef _OPENMP
-  // PageRank accumulates floats; one thread pins the summation order so the
-  // faulty run can be compared bit-for-bit against the clean one.
-  omp_set_num_threads(1);
-#endif
   io::TempDir dir;
   const auto el = graph::kronecker(9, 6, GraphKind::kUndirected, 17);
   auto clean = gstore::testing::make_store(dir, el, small_tiles());

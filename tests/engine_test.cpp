@@ -9,6 +9,7 @@
 
 #include "algo/bfs.h"
 #include "algo/cc.h"
+#include "algo/pagerank.h"
 #include "algo/reference.h"
 #include "graph/generator.h"
 #include "ingest/delta.h"
@@ -771,6 +772,68 @@ TEST(WccExactWork, GridAndPriorityReadEveryTileOnce) {
                 store.edge_count() + (overlaid ? delta.edge_count() : 0));
       EXPECT_EQ(wcc.labels(), want);
     }
+  }
+}
+
+// ---- PageRank's exact work -------------------------------------------------
+
+// PageRank needs every tile in every iteration. A pool holding the whole
+// graph reads each tile once and serves every later iteration from the pool;
+// a pool holding half of it repeats one split of disk and pool tiles in
+// every iteration after the first. The counters are exact, so one extra
+// fetch per iteration fails the test. tests/CMakeLists.txt also runs this at
+// one and at four OpenMP threads.
+TEST(PageRankExactWork, WholePoolReadsOnceAndHalfPoolRepeats) {
+  io::TempDir dir;
+  const auto el = graph::kronecker(10, 8, GraphKind::kUndirected, 17);
+  tile::ConvertOptions o;
+  o.tile_bits = 5;
+  o.group_side = 3;
+  auto store = gstore::testing::make_store(dir, el, o);
+  std::uint64_t tile_bytes = 0;
+  for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
+    tile_bytes += store.tile_bytes(k);
+  const std::uint64_t tiles = nonempty_tile_count(store);
+  constexpr std::uint32_t kIterations = 5;
+  const algo::PageRankOptions popt{0.85, kIterations, 0.0};
+  for (const ScheduleMode mode :
+       {ScheduleMode::kGrid, ScheduleMode::kPriority}) {
+    SCOPED_TRACE(mode == ScheduleMode::kGrid ? "grid" : "priority");
+    {
+      EngineConfig cfg;  // 64 MiB: the pool holds the whole graph
+      cfg.schedule = mode;
+      algo::TilePageRank pr(popt);
+      const auto stats = ScrEngine(store, cfg).run(pr);
+      EXPECT_EQ(stats.iterations, kIterations);
+      EXPECT_EQ(stats.bytes_read, tile_bytes);
+      EXPECT_EQ(stats.tiles_from_disk, tiles);
+      EXPECT_EQ(stats.tiles_from_cache, (kIterations - 1) * tiles);
+      EXPECT_EQ(stats.edges_processed, kIterations * store.edge_count());
+    }
+    EngineConfig cfg = half_cached(store);
+    cfg.schedule = mode;
+    algo::TilePageRank pr(popt);
+    const auto stats = ScrEngine(store, cfg).run(pr);
+    ASSERT_EQ(stats.per_iteration.size(), kIterations);
+    EXPECT_EQ(stats.per_iteration[0].tiles_from_disk, tiles);
+    EXPECT_EQ(stats.per_iteration[0].bytes_fetched, tile_bytes);
+    // Measured: the pool keeps 250 of the 524 tiles, in both schedules and
+    // at any thread count.
+    const IterationStats& later = stats.per_iteration[1];
+    EXPECT_EQ(later.tiles_from_disk, 274u);
+    EXPECT_EQ(later.tiles_from_cache, 250u);
+    EXPECT_EQ(later.bytes_fetched, 7380u);
+    EXPECT_EQ(later.tiles_from_disk + later.tiles_from_cache, tiles);
+    for (std::uint32_t it = 2; it < kIterations; ++it) {
+      SCOPED_TRACE("iteration " + std::to_string(it));
+      const IterationStats& s = stats.per_iteration[it];
+      EXPECT_EQ(s.tiles_from_disk, later.tiles_from_disk);
+      EXPECT_EQ(s.tiles_from_cache, later.tiles_from_cache);
+      EXPECT_EQ(s.bytes_fetched, later.bytes_fetched);
+      EXPECT_EQ(s.edges_processed, later.edges_processed);
+    }
+    EXPECT_EQ(stats.bytes_read,
+              tile_bytes + (kIterations - 1) * later.bytes_fetched);
   }
 }
 

@@ -112,8 +112,7 @@ TEST(Integration, SyncBackendMatchesAsync) {
   algo::TilePageRank pr2(algo::PageRankOptions{0.85, 3, 0.0});
   store::ScrEngine(store_sync).run(pr1);
   store::ScrEngine(store_async).run(pr2);
-  for (vid_t v = 0; v < el.vertex_count(); ++v)
-    EXPECT_FLOAT_EQ(pr1.ranks()[v], pr2.ranks()[v]);
+  EXPECT_EQ(pr1.ranks(), pr2.ranks());
 }
 
 TEST(Integration, AllThreeEnginesAgree) {
@@ -234,8 +233,7 @@ TEST(Integration, DirectedInAndOutStoresAgreeOnPageRank) {
   algo::TilePageRank b(algo::PageRankOptions{0.85, 4, 0.0});
   store::ScrEngine(s_out).run(a);
   store::ScrEngine(s_in).run(b);
-  for (vid_t v = 0; v < el.vertex_count(); ++v)
-    EXPECT_NEAR(a.ranks()[v], b.ranks()[v], 1e-5);
+  EXPECT_EQ(a.ranks(), b.ranks());
 }
 
 }  // namespace

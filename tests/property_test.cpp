@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <set>
@@ -438,6 +440,152 @@ TEST(PropertyWcc, MatchesReferenceAcrossFormatsTileBitsAndOverlay) {
       std::begin(codec_tiles), std::end(codec_tiles),
       [](std::uint64_t tiles) { return tiles > 0; });
   EXPECT_GE(codecs_used, 4);
+}
+
+// ---- PageRank is bit-identical on every path --------------------------------
+
+// algo/pagerank.h's fixed-point PageRank, run serially over the edge list:
+// rank r is held as r·n·2^F with F = 63 − bit_width(n), and contributions
+// and their sums are u64. It shares no code with the tile kernel.
+std::vector<float> fixed_point_pagerank(const EdgeList& el,
+                                        std::uint32_t iterations,
+                                        double damping = 0.85) {
+  const vid_t n = el.vertex_count();
+  const std::vector<graph::degree_t> deg = el.degrees();
+  const double mean_fx = std::ldexp(1.0, 63 - std::bit_width(n));
+  const double scale = mean_fx * n;
+  const auto base_fx = static_cast<std::uint64_t>((1.0 - damping) * mean_fx);
+  const auto damping_fx = static_cast<std::uint64_t>(std::ldexp(damping, 63));
+  const auto share = [&](double rank_fx, vid_t v) -> std::uint64_t {
+    return deg[v] == 0 ? 0 : static_cast<std::uint64_t>(rank_fx / deg[v]);
+  };
+  std::vector<std::uint64_t> contrib(n), incoming(n, 0);
+  for (vid_t v = 0; v < n; ++v) contrib[v] = share(mean_fx, v);
+  std::vector<float> rank(n, 1.0f / static_cast<float>(n));
+  for (std::uint32_t it = 0; it < iterations; ++it) {
+    for (const graph::Edge& e : el.edges()) {
+      if (e.src == e.dst) continue;  // the converter drops self loops
+      incoming[e.dst] += contrib[e.src];
+      if (el.kind() == GraphKind::kUndirected)
+        incoming[e.src] += contrib[e.dst];
+    }
+    for (vid_t v = 0; v < n; ++v) {
+      const auto damped = static_cast<std::uint64_t>(
+          (static_cast<unsigned __int128>(incoming[v]) * damping_fx) >> 63);
+      const auto rank_fx = static_cast<double>(base_fx + damped);
+      rank[v] = static_cast<float>(rank_fx / scale);
+      contrib[v] = share(rank_fx, v);
+      incoming[v] = 0;
+    }
+  }
+  return rank;
+}
+
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0)
+    return;
+  std::size_t v = 0;
+  while (std::bit_cast<std::uint32_t>(got[v]) ==
+         std::bit_cast<std::uint32_t>(want[v]))
+    ++v;
+  ADD_FAILURE() << "ranks differ first at vertex " << v << ": " << got[v]
+                << " vs " << want[v];
+}
+
+// Grid and priority schedules; a pool holding the whole graph, one holding
+// half of it (proactive and LRU) and no caching at all.
+std::vector<std::pair<std::string, store::EngineConfig>> pagerank_paths(
+    const tile::TileStore& store) {
+  std::vector<std::pair<std::string, store::EngineConfig>> out;
+  store::EngineConfig whole;
+  out.emplace_back("grid, whole pool", whole);
+  whole.policy = store::CachePolicyKind::kNone;
+  out.emplace_back("grid, no caching", whole);
+  auto half = gstore::testing::half_cached(store);
+  half.schedule = store::ScheduleMode::kPriority;
+  out.emplace_back("priority, half pool", half);
+  half.schedule = store::ScheduleMode::kGrid;
+  half.policy = store::CachePolicyKind::kLru;
+  out.emplace_back("grid, half pool, LRU", half);
+  return out;
+}
+
+// Integer sums do not depend on the order the tiles and the threads add
+// them in, so PageRank must give the serial reference's ranks bit for bit on
+// every path: schedule, pool size and policy, store format (v3 codecs,
+// uncompressed v2, 8-byte tuples), tile width, out- and in-edge stores of a
+// directed graph, and a WAL overlay split against a store converted from
+// the union. tests/CMakeLists.txt runs this at one and at four OpenMP
+// threads.
+TEST(PropertyPageRank, BitIdenticalAcrossPathsAndToFixedPointReference) {
+  constexpr std::uint32_t kIterations = 3;
+  const auto run = [](tile::TileStore& store, const store::EngineConfig& cfg) {
+    algo::TilePageRank pr(algo::PageRankOptions{0.85, kIterations, 0.0});
+    store::ScrEngine(store, cfg).run(pr);
+    return pr.ranks();
+  };
+  struct Format {
+    const char* name;
+    bool compress;
+    bool snb;
+  };
+  for (unsigned trial = 0; trial < 10; ++trial) {
+    const unsigned tb = 2 + 3 * (trial / 2);  // 2, 5, 8, 11, 14
+    const GraphKind kind =
+        trial % 2 == 0 ? GraphKind::kUndirected : GraphKind::kDirected;
+    const unsigned scale = std::min(tb + 5, 12u);
+    // Kronecker graphs (hub rows: long runs for the kernel to sum) and
+    // sparse uniform ones.
+    const auto el = (trial / 2) % 2 == 0
+                  ? graph::kronecker(scale, 8, kind, 800 + trial)
+                  : graph::uniform_random((1u << scale) + 17, 6u << scale,
+                                          kind, 800 + trial);
+    const vid_t n = el.vertex_count();
+    const auto extra = graph::uniform_random(n, n / 4 + 1, kind, 900 + trial);
+    std::vector<graph::Edge> all = el.edges();
+    all.insert(all.end(), extra.edges().begin(), extra.edges().end());
+    const EdgeList unioned(all, n, kind);
+    const auto want = fixed_point_pagerank(el, kIterations);
+    const auto want_unioned = fixed_point_pagerank(unioned, kIterations);
+    for (const Format f : {Format{"v3", true, true}, Format{"v2", false, true},
+                           Format{"8B tuples", false, false}}) {
+      SCOPED_TRACE(std::string(f.name) + ", trial " + std::to_string(trial));
+      io::TempDir dir;
+      tile::ConvertOptions o;
+      o.tile_bits = tb;
+      o.group_side = 1 + trial % 3;
+      o.compress = f.compress;
+      o.snb = f.snb;
+      auto store = gstore::testing::make_store(dir, el, o);
+      for (const auto& [path, cfg] : pagerank_paths(store)) {
+        SCOPED_TRACE(path);
+        expect_same_bits(run(store, cfg), want);
+      }
+      if (kind == GraphKind::kDirected) {
+        tile::ConvertOptions in_opts = o;
+        in_opts.out_edges = false;
+        auto in_store = gstore::testing::make_store(dir, el, in_opts, {}, "in");
+        for (const auto& [path, cfg] : pagerank_paths(in_store)) {
+          SCOPED_TRACE("in-edge store, " + path);
+          expect_same_bits(run(in_store, cfg), want);
+        }
+      }
+      if (!f.snb) continue;  // overlays splice SNB tuples only
+
+      ingest::DeltaBuffer delta(store.grid(), store.meta(), 1 << 20);
+      delta.add_batch(extra.edges());
+      store.attach_overlay(&delta);
+      for (const auto& [path, cfg] : pagerank_paths(store)) {
+        SCOPED_TRACE("overlay, " + path);
+        expect_same_bits(run(store, cfg), want_unioned);
+      }
+      auto converted =
+          gstore::testing::make_store(dir, unioned, o, {}, "union");
+      expect_same_bits(run(converted, {}), want_unioned);
+    }
+  }
 }
 
 // ---- compression codec fuzz -------------------------------------------------

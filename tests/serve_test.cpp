@@ -50,15 +50,17 @@ std::string convert(const io::TempDir& dir, const graph::EdgeList& el,
   return base;
 }
 
-// A graph whose vertices all fall inside ONE tile (n < 2^16): with a single
-// non-empty tile, cost_chunks emits one chunk, every kernel dispatch runs
-// sequentially, and even PageRank's float accumulation order is fixed — so
-// digests are bit-comparable between the serial engine and any gang mix.
+// A graph whose vertices all fall inside ONE tile (n < 2^16): small and
+// quick, for the lifecycle, snapshot and protocol tests.
 graph::EdgeList single_tile_graph() {
   return graph::uniform_random(2000, 8000, graph::GraphKind::kUndirected, 11);
 }
 
-// Multi-tile graph for dedup/cache tests (order-independent algorithms only).
+// A graph over many tiles, whose scans run tiles in parallel chunks: for the
+// dedup and cache tests and the mixed-gang digest check. Every job kind's
+// result is independent of tile order and thread count (PageRank sums in
+// fixed point), so a gang's digests match the serial engine's bit for bit
+// on either graph.
 graph::EdgeList multi_tile_graph() {
   return graph::uniform_random(150000, 450000, graph::GraphKind::kUndirected,
                                23);
@@ -189,9 +191,10 @@ TEST(SnapshotManager, CompactionDefersUnlinkUntilLastPinDrops) {
 
 // ---- gang scheduling: correctness -----------------------------------------
 
+// tests/CMakeLists.txt also runs this at one and at four OpenMP threads.
 TEST(JobManager, MixedGangBitIdenticalToSerial) {
   io::TempDir dir;
-  const std::string base = convert(dir, single_tile_graph());
+  const std::string base = convert(dir, multi_tile_graph());
   ingest::EdgeIngestor ingestor(base);
   // Live WAL edges so the overlay path is part of the identity check.
   const graph::Edge extra[] = {{10, 1500}, {7, 42}, {1999, 3}};
@@ -364,20 +367,33 @@ TEST(JobManager, CompactMidJobRunsOnPinnedGeneration) {
   const graph::Edge e[] = {{0, 1000}, {1000, 1500}};
   ingestor.ingest(e);
   const Json serial = serial_result(ingestor.store(), bfs_spec(0));
-
-  JobManager manager(ingestor);
   // Many iterations of real work so compaction lands mid-gang: a wide
   // PageRank plus the BFS under test.
-  Json pr = Json::object();
-  pr.set("algo", Json("pagerank"));
-  pr.set("iterations", Json(static_cast<std::uint64_t>(200)));
+  JobSpec pr_spec;
+  pr_spec.kind = JobKind::kPageRank;
+  pr_spec.max_iterations = 200;
+  const Json serial_pr = serial_result(ingestor.store(), pr_spec);
+
+  JobManager manager(ingestor);
+  Json pr = pr_spec.to_json();
   const std::uint64_t pr_id = manager.submit(pr);
   Json j = bfs_json(0);
   const std::uint64_t bfs_id = manager.submit(j);
   manager.start();
 
-  // Compact while the gang runs. The gang's snapshot pinned the old
-  // generation, so this must neither fail nor perturb results.
+  // Compact while the gang runs. Once the PageRank job reports the two WAL
+  // edges, its gang has pinned the old generation, so the compaction must
+  // neither fail nor perturb either result.
+  const auto pinned = [&] {
+    const Json status = manager.status(pr_id);
+    const Json* d = status.find("delta_edges");
+    return d != nullptr && d->as_uint() == 2;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!pinned() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(pinned());
   manager.compact();
 
   ASSERT_TRUE(manager.wait(bfs_id, std::chrono::milliseconds(120000)));
@@ -385,7 +401,9 @@ TEST(JobManager, CompactMidJobRunsOnPinnedGeneration) {
   const Json r = manager.result(bfs_id);
   ASSERT_EQ(r.at("state").as_string(), "done") << r.dump();
   EXPECT_EQ(digest_of(r.at("result")), digest_of(serial));
-  EXPECT_EQ(manager.result(pr_id).at("state").as_string(), "done");
+  const Json rp = manager.result(pr_id);
+  ASSERT_EQ(rp.at("state").as_string(), "done") << rp.dump();
+  EXPECT_EQ(digest_of(rp.at("result")), digest_of(serial_pr));
   manager.stop(true);
   // With every snapshot released, no retired generation may linger.
   EXPECT_EQ(manager.snapshots().retired_pending_unlink(), 0u);

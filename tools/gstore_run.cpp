@@ -30,6 +30,7 @@
 #include "io/fault.h"
 #include "store/scr_engine.h"
 #include "tile/tile_file.h"
+#include "util/crc32.h"
 #include "util/options.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -242,11 +243,15 @@ int main(int argc, char** argv) {
       algo::TilePageRank pr(popt);
       const auto s = engine.run(pr);
       print_stats(s, t.seconds());
-      const auto it = std::max_element(pr.ranks().begin(), pr.ranks().end());
+      const auto& ranks = pr.ranks();
+      const auto it = std::max_element(ranks.begin(), ranks.end());
+      // The ranks are bit-identical on every path, so their CRC-32 is a
+      // fingerprint two runs can compare.
       std::printf("pagerank: %u iterations, final delta %.2e, top vertex %lld "
-                  "(rank %.3e)\n",
+                  "(rank %.3e), crc32 %08x\n",
                   pr.iterations_run(), pr.last_delta(),
-                  static_cast<long long>(it - pr.ranks().begin()), *it);
+                  static_cast<long long>(it - ranks.begin()), *it,
+                  crc32(ranks.data(), ranks.size() * sizeof(float)));
     } else if (algo == "pagerank-delta") {
       algo::PageRankDeltaOptions popt;
       popt.tolerance = opts.get_double("tolerance");
