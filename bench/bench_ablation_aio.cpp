@@ -49,7 +49,6 @@ void sweep(const char* title, const graph::EdgeList& el, RunFn&& run) {
     store::EngineConfig cfg = bench::engine_config_fraction(store, 0.25);
     cfg.overlap_io = m.overlap;
     cfg.policy = store::CachePolicyKind::kNone;  // isolate the I/O path
-    cfg.rewind = false;
 
     const io::DeviceStats start = store.device().stats();
     Timer timer;

@@ -104,7 +104,6 @@ void part_c() {
     cfg.stream_memory_bytes = mem_mb << 20;
     cfg.segment_bytes = cfg.stream_memory_bytes / 2;  // segments only
     cfg.policy = store::CachePolicyKind::kNone;       // isolate streaming
-    cfg.rewind = false;
     algo::TilePageRank pr(algo::PageRankOptions{0.85, 3, 0.0});
     Timer timer;
     store::ScrEngine(store, cfg).run(pr);

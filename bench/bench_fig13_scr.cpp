@@ -1,5 +1,5 @@
 // Figure 13 — speedup of the slide-cache-rewind policy over the base policy
-// (two big segments, no cache pool, no rewind) for BFS / PageRank / WCC.
+// (two big segments and no cache pool) for BFS / PageRank / WCC.
 // The paper measures >60% for BFS and >35% for PageRank and WCC with 8GB of
 // memory on Kron-28-16; here the memory budget is the same fraction of the
 // graph (8GB / 16GB = 50%).
@@ -20,13 +20,11 @@ void compare(const char* name, tile::TileStore& store, MakeAlgo&& make,
   base.stream_memory_bytes = memory;
   base.segment_bytes = memory / 2;  // two big segments, nothing else
   base.policy = store::CachePolicyKind::kNone;
-  base.rewind = false;
 
   store::EngineConfig scr;
   scr.stream_memory_bytes = memory;
   scr.segment_bytes = std::max<std::uint64_t>(memory / 32, 64 << 10);
   scr.policy = store::CachePolicyKind::kProactive;
-  scr.rewind = true;
 
   auto a1 = make();
   Timer tb;

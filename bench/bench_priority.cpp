@@ -50,7 +50,7 @@ struct Run {
 
 Run fold(const store::EngineStats& s, double seconds) {
   Run r;
-  r.sweeps = s.rounds > 0 ? s.rounds : s.iterations;
+  r.sweeps = s.iterations;
   r.bytes_read = s.bytes_read;
   r.wasted_bytes = s.wasted_fetch_bytes;
   r.seconds = seconds;
@@ -227,7 +227,7 @@ int run() {
   table.row({"sssp +delta", "cold rerun",
              std::to_string(rerun_stats.iterations),
              fmt_bytes(rerun_stats.bytes_read), "-", "-", "-"});
-  table.row({"", "resume", std::to_string(resume_stats.rounds),
+  table.row({"", "resume", std::to_string(resume_stats.iterations),
              fmt_bytes(resume_stats.bytes_read),
              fmt_bytes(resume_stats.wasted_fetch_bytes), "-",
              resume_same ? "yes" : "NO"});
@@ -283,7 +283,7 @@ int run() {
         "  }\n",
         static_cast<unsigned long long>(rerun_stats.bytes_read),
         static_cast<unsigned long long>(resume_stats.bytes_read),
-        static_cast<unsigned long long>(resume_stats.rounds), inc_ratio,
+        static_cast<unsigned long long>(resume_stats.iterations), inc_ratio,
         resume_same ? "true" : "false");
     std::fprintf(json, "}\n");
     std::fclose(json);

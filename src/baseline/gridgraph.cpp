@@ -26,7 +26,6 @@ store::EngineStats GridGraphEngine::run(store::TileAlgorithm& algo) {
   // Cached blocks are served before streaming (the engine's only cache-hit
   // path); the *policy* — recency instead of algorithmic metadata — is what
   // distinguishes this baseline, per the paper's §VIII comparison.
-  cfg.rewind = true;
   return store::ScrEngine(store_, cfg).run(algo);
 }
 

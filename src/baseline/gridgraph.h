@@ -9,7 +9,7 @@
 //   * reliance on the OS page cache — approximated by the engine's LRU
 //     pool (the paper's §VIII: "GridGraph depends upon Linux page-cache for
 //     caching [while] G-Store exploits the properties of 2D tiles");
-//   * no rewind and no algorithm-aware (proactive) caching.
+//   * no algorithm-aware (proactive) caching.
 //
 // The class is a thin, documented configuration of the shared streaming
 // machinery: the comparison in the benchmarks is then exactly about the
@@ -46,7 +46,7 @@ class GridGraphEngine {
   GridGraphEngine(const std::string& base_path, GridGraphConfig config = {});
 
   // Runs any tile algorithm under GridGraph-style execution (LRU caching,
-  // no rewind, selective block scheduling).
+  // selective block scheduling).
   store::EngineStats run(store::TileAlgorithm& algo);
 
   tile::TileStore& tile_store() noexcept { return store_; }

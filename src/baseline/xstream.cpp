@@ -42,9 +42,12 @@ std::uint64_t write_xstream_edges(const std::string& path,
 
   std::uint64_t written_tuples = 0;
   for (const graph::Edge& e : el.edges()) {
+    // As in the tile converter: PageRank divides by EdgeList::degrees(),
+    // which counts no loop.
+    if (e.src == e.dst) continue;
     put_tuple(e.src, e.dst);
     ++written_tuples;
-    if (both && e.src != e.dst) {
+    if (both) {
       put_tuple(e.dst, e.src);
       ++written_tuples;
     }

@@ -39,7 +39,8 @@ struct XStreamStats {
 };
 
 // Writes the on-disk tuple list X-Stream streams. Undirected graphs write
-// each edge in both orientations. Returns bytes written.
+// each edge in both orientations; self loops are dropped. Returns bytes
+// written.
 std::uint64_t write_xstream_edges(const std::string& path,
                                   const graph::EdgeList& el,
                                   std::size_t tuple_bytes);

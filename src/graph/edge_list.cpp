@@ -42,8 +42,9 @@ std::uint64_t EdgeList::normalize() {
 std::vector<degree_t> EdgeList::degrees() const {
   std::vector<degree_t> deg(vertex_count_, 0);
   for (const Edge& e : edges_) {
+    if (e.src == e.dst) continue;
     ++deg[e.src];
-    if (kind_ == GraphKind::kUndirected && e.src != e.dst) ++deg[e.dst];
+    if (kind_ == GraphKind::kUndirected) ++deg[e.dst];
   }
   return deg;
 }
@@ -51,7 +52,8 @@ std::vector<degree_t> EdgeList::degrees() const {
 std::vector<degree_t> EdgeList::in_degrees() const {
   if (kind_ == GraphKind::kUndirected) return degrees();
   std::vector<degree_t> deg(vertex_count_, 0);
-  for (const Edge& e : edges_) ++deg[e.dst];
+  for (const Edge& e : edges_)
+    if (e.src != e.dst) ++deg[e.dst];
   return deg;
 }
 

@@ -33,7 +33,9 @@ class EdgeList {
   // either orientation. Returns number of removed edges.
   std::uint64_t normalize();
 
-  // Out-degree (directed) or total degree (undirected) per vertex.
+  // Out-degree (directed) or total degree (undirected) per vertex. A self
+  // loop adds no degree: the converter drops loops, and the .deg file,
+  // the ingest path and the references all count degree without them.
   std::vector<degree_t> degrees() const;
   std::vector<degree_t> in_degrees() const;
 

@@ -273,20 +273,11 @@ void AsyncEngine::submit(const std::vector<ReadRequest>& batch) {
     {
       MutexLock lock(impl_->mutex);
       while (impl_->inflight >= impl_->depth) impl_->space_cv.wait(impl_->mutex);
-      // Priority order: insert before the first pending request with a
-      // strictly greater priority value. Equal priorities stay FIFO, so the
-      // default (priority 0 everywhere) degenerates to the old push_back,
-      // and within one priority round the layout-ascending submit order —
-      // hence sequential I/O — is preserved. The deque is bounded by
-      // `depth`, so the linear insert touches at most `depth` entries.
-      const auto at = std::upper_bound(
-          impl_->pending.begin(), impl_->pending.end(), req,
-          [](const ReadRequest& a, const ReadRequest& b) {
-            return a.priority < b.priority;
-          });
+      // FIFO: the layout-ascending submit order, hence sequential I/O, is
+      // the order workers take the requests in.
       // GL-SAFE(GL1): one-element enqueue under the queue's own lock; the
       // deque is bounded by `depth`, so growth is bounded too.
-      impl_->pending.insert(at, req);
+      impl_->pending.push_back(req);
       ++impl_->inflight;
       GSTORE_DCHECK_LE(impl_->inflight, impl_->depth);
       GSTORE_DCHECK_LE(impl_->pending.size(), impl_->inflight);

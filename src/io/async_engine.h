@@ -64,13 +64,6 @@ struct ReadRequest {
   std::size_t length = 0;
   std::uint8_t* buffer = nullptr;
   std::uint64_t tag = 0;  // opaque caller cookie, returned in the Completion
-  // Dispatch urgency: workers pick pending requests with the smallest
-  // priority first; equal priorities keep submit (FIFO) order, so plain
-  // callers that never set this are unaffected. The SCR engine's priority
-  // scheduler stamps each round's bucket here, which keeps the fetch queue
-  // ordered by bucket when several submitters share a device
-  // (docs/SCHEDULING.md).
-  std::uint32_t priority = 0;
   // Optional device pacing: the executing worker acquires `length` tokens
   // before reading, so emulated device latency stays off the compute thread.
   Throttle* throttle = nullptr;
@@ -114,8 +107,8 @@ class AsyncEngine {
   Completion execute(const ReadRequest& req);
 
   // Submits a batch of reads in one call (mirrors io_submit). Blocks only
-  // if the in-flight queue is full. Buffers must stay valid until the
-  // matching completion is polled.
+  // if the in-flight queue is full. Workers take requests in submit (FIFO)
+  // order. Buffers must stay valid until the matching completion is polled.
   void submit(const std::vector<ReadRequest>& batch);
 
   // Waits for at least `min_events` completions (0 = non-blocking peek) and

@@ -36,14 +36,13 @@ std::uint64_t subscribers(Mask m) {
   return static_cast<std::uint64_t>(std::popcount(m));
 }
 
-// A gang runs the scheduler's three knobs over ScrEngine's defaults for
+// A gang runs the scheduler's memory split over ScrEngine's defaults for
 // everything else: overlapped I/O, the whole-tile retry budget and the
 // iteration cap.
 store::EngineConfig engine_config(const SchedulerConfig& sc) {
   store::EngineConfig c;
   c.stream_memory_bytes = sc.stream_memory_bytes;
   c.segment_bytes = sc.segment_bytes;
-  c.rewind = sc.rewind;
   return c;
 }
 
@@ -173,8 +172,7 @@ struct SharedScheduler::Runner {
   // Round-boundary cache analysis: recompute every cached tile's
   // subscriber set, evict the orphans, and rebuild the per-job charge table
   // (jobs that finished stop being charged; tiles that gained subscribers
-  // get cheaper for everyone). With rewind off the executor empties the
-  // pool before the next round, so nothing stays charged.
+  // get cheaper for everyone).
   //
   // Known drift from ScrEngine, which analyzes before its end hooks: this
   // runs after the jobs' end_iteration. By then BFS and SSSP have promoted
@@ -186,7 +184,7 @@ struct SharedScheduler::Runner {
   // ROADMAP.md lists the fix and why it waits.
   void analyze_cache() {
     charged.fill(0);
-    if (pool.budget() == 0 || !config.rewind) return;
+    if (pool.budget() == 0) return;
     victims.clear();
     pool.for_each_entry([&](const CachePool::Entry& e) {
       const Mask nm = useful_next_mask(e.layout_idx);
@@ -254,7 +252,7 @@ struct SharedScheduler::Runner {
       }
     });
     analyze_cache();
-    ++stats.rounds;
+    ++stats.iterations;
   }
 
   // Round boundary: reap cancellations, then offer free capacity to the
@@ -289,7 +287,6 @@ struct SharedScheduler::Runner {
       for_bits(occupied,
                [&](std::size_t k) { finish_slot(k, JobState::kFailed, why); });
     }
-    stats.iterations = static_cast<std::uint32_t>(stats.rounds);
     return exec.finish(total.seconds());
   }
 

@@ -52,14 +52,15 @@
 
 namespace gstore::serve {
 
-// The memory split and the Fig 13 rewind switch. Everything else a gang
-// runs with (overlapped I/O, the whole-tile retry budget, the iteration
-// cap) is store::EngineConfig's default. Selective fetch is not a setting:
-// a round fetches only the tiles some job's tile_needed() asks for.
+// The memory split. Everything else a gang runs with (overlapped I/O, the
+// whole-tile retry budget, the iteration cap) is store::EngineConfig's
+// default. A gang always caches under its fairness rule; a zero pool
+// (stream_memory_bytes == 2 × segment_bytes) turns caching off. Selective
+// fetch is not a setting: a round fetches only the tiles some job's
+// tile_needed() asks for.
 struct SchedulerConfig {
   std::uint64_t stream_memory_bytes = 64ull << 20;
   std::uint64_t segment_bytes = 8ull << 20;
-  bool rewind = true;
 };
 
 // One job as the scheduler sees it. The algorithm is owned by the caller
@@ -93,10 +94,10 @@ class SharedScheduler {
   SharedScheduler& operator=(const SharedScheduler&) = delete;
 
   // Runs every job (initial + admitted) to completion or cancellation and
-  // returns the gang-level counters (`rounds`, tiles, bytes, times). A
-  // gang-level failure — I/O past the retry budget, or a job's kernel
-  // throwing — fails every job still active (reported through `done`) and
-  // returns: the daemon outlives its jobs' faults.
+  // returns the gang-level counters (rounds as `iterations`, tiles, bytes,
+  // times). A gang-level failure — I/O past the retry budget, or a job's
+  // kernel throwing — fails every job still active (reported through
+  // `done`) and returns: the daemon outlives its jobs' faults.
   store::EngineStats run(std::vector<GangJob> initial, const AdmitFn& admit,
                          const DoneFn& done);
 

@@ -42,12 +42,6 @@ std::uint64_t CachePool::erase_locked(std::uint64_t layout_idx) {
   return freed;
 }
 
-void CachePool::clear() {
-  MutexLock lock(mutex_);
-  tiles_.clear();
-  used_ = 0;
-}
-
 void CachePool::touch(std::uint64_t layout_idx) {
   MutexLock lock(mutex_);
   auto it = tiles_.find(layout_idx);

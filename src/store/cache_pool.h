@@ -14,7 +14,7 @@
 // internally serialized by `mutex_`, so concurrent metadata operations are
 // safe. The tile *bytes* behind an Entry pointer are a separate contract:
 // for_each_entry() hands out pointers into pinned buffers, and the caller
-// must not run erase()/clear()/evict_lru() for those tiles while another
+// must not run erase()/evict_lru() for those tiles while another
 // thread still dereferences them (the SCR engine satisfies this by
 // structuring each iteration into rewind → slide → cache phases).
 #pragma once
@@ -58,8 +58,6 @@ class CachePool {
 
   // Removes one tile; returns freed bytes (0 if absent).
   std::uint64_t erase(std::uint64_t layout_idx) GSTORE_EXCLUDES(mutex_);
-
-  void clear() GSTORE_EXCLUDES(mutex_);
 
   // Marks a tile as used this iteration (for LRU recency).
   void touch(std::uint64_t layout_idx) GSTORE_EXCLUDES(mutex_);

@@ -4,7 +4,8 @@
 // algorithm's metadata says might be needed next iteration, evicting entries
 // the oracle has since ruled out. kLru is the FlashGraph-style baseline the
 // paper argues against; kNone is pure streaming (X-Stream-style, and the
-// "base policy" of Fig 13 when combined with rewind=off).
+// "base policy" of Fig 13): the pool stays empty, so REWIND has nothing to
+// process and every needed tile is read.
 //
 // Policies keep no state between calls: everything they decide is a
 // function of the pool, the segment and the algorithm's oracle.

@@ -153,7 +153,6 @@ void RoundExecutor::fill_and_submit(int s, std::size_t& pos) {
     req.length = static_cast<std::size_t>(last.offset + last.bytes - first.offset);
     req.buffer = seg.slot_data(first);
     req.tag = make_tag(s, next_serial_++);
-    req.priority = fetch_priority_;
     batch.push_back(req);
     run_begin = run_end;
   };
@@ -251,21 +250,15 @@ void RoundExecutor::quiesce_all() noexcept {
   inflight_.clear();
 }
 
-std::uint64_t RoundExecutor::run_round(const std::vector<std::uint64_t>& tiles,
-                                       std::uint32_t fetch_priority) {
-  fetch_priority_ = fetch_priority;
-
+std::uint64_t RoundExecutor::run_round(
+    const std::vector<std::uint64_t>& tiles) {
   // Plan: snapshot the pool, then split `tiles` against it — cached tiles
   // stay in cached_, tiles with base bytes go to fetch_, overlay-only tiles
   // to delta_only_. The snapshot is ascending too (the pool iterates its
   // sorted map), so one merge pass does it.
   cached_.clear();
-  if (config_.rewind) {
-    pool_.for_each_entry(
-        [&](const CachePool::Entry& e) { cached_.push_back(e); });
-  } else {
-    pool_.clear();
-  }
+  pool_.for_each_entry(
+      [&](const CachePool::Entry& e) { cached_.push_back(e); });
   const std::size_t pooled = cached_.size();
   fetch_.clear();
   delta_only_.clear();

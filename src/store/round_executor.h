@@ -6,8 +6,9 @@
 // A caller hands run_round() one round's tiles in ascending layout order;
 // three hooks (RoundHooks) carry everything caller-specific. The pass:
 //   plan   — split the tiles against a snapshot of the cache pool into
-//            cached, fetched and overlay-only ones. The base policy (rewind
-//            off) clears the pool first, so nothing is cached.
+//            cached, fetched and overlay-only ones. With caching off (the
+//            kNone policy, or a zero pool) the pool is empty, so every tile
+//            with base bytes is fetched.
 //   REWIND — submit both segments' first SLIDE reads, then process the
 //            cached tiles from their pinned pool bytes while the device
 //            streams.
@@ -60,16 +61,16 @@ struct RoundHooks {
 
 class RoundExecutor {
  public:
-  // Uses config's memory split, rewind, overlap_io and read_retry_budget.
+  // Uses config's memory split, overlap_io and read_retry_budget. Throws if
+  // the memory split is invalid (MemoryBudget::compute).
   RoundExecutor(tile::TileStore& store, const EngineConfig& config,
                 RoundHooks hooks);
 
   // Runs one round over `tiles` (ascending layout indices, each carrying
-  // base bytes or overlay edges), stamping `fetch_priority` onto its reads.
-  // Returns how many tiles with base bytes the round neither took from the
-  // pool nor fetched.
-  std::uint64_t run_round(const std::vector<std::uint64_t>& tiles,
-                          std::uint32_t fetch_priority = 0);
+  // base bytes or overlay edges) and reaps every read it submitted before
+  // returning. Returns how many tiles with base bytes the round neither
+  // took from the pool nor fetched.
+  std::uint64_t run_round(const std::vector<std::uint64_t>& tiles);
 
   // Copies the device counters' growth since construction and the segment
   // counters into stats, stamps `elapsed_seconds` and returns the result.
@@ -77,7 +78,7 @@ class RoundExecutor {
 
   CachePool& pool() noexcept { return pool_; }
   // The executor fills the tile, edge, I/O and time counters; callers own
-  // the rest (iterations, rounds, skips, per-round entries).
+  // the rest (iterations, skips, per-round entries).
   EngineStats& stats() noexcept { return stats_; }
   // Base-tile bytes fetched so far.
   std::uint64_t bytes_fetched() const noexcept { return bytes_fetched_; }
@@ -111,7 +112,6 @@ class RoundExecutor {
   Segment segments_[2];
   std::size_t pending_[2] = {0, 0};
   std::uint64_t next_serial_ = 0;
-  std::uint32_t fetch_priority_ = 0;
   std::uint64_t bytes_fetched_ = 0;
   // Every submitted request, kept until its completion is accepted, so a
   // failed or truncated read can be resubmitted whole (tiles are never

@@ -149,18 +149,16 @@ struct ScrEngine::Runner {
   }
 
   // One priority round over the planned tiles — cached ones processed in
-  // place (the REWIND idea applied per round), the rest streamed at the
-  // bucket's fetch priority. Returns end_round()'s verdict.
+  // place (the REWIND idea applied per round), the rest streamed. Returns
+  // end_round()'s verdict.
   bool run_round(std::uint32_t round, std::uint32_t bucket) {
     const Timer round_timer;
     const IterationStats before = counters();
     algo.begin_round(round, bucket);
     stats.max_bucket = std::max(stats.max_bucket, bucket);
-    // The bucket is the reads' fetch priority (the async engine serves
-    // lower values first when requests from several rounds or engines
-    // share a queue). The returned skip count is dropped: a round's
-    // candidates are its bucket's tiles (see IterationStats).
-    exec.run_round(round_tiles, bucket);
+    // The returned skip count is dropped: a round's candidates are its
+    // bucket's tiles (see IterationStats).
+    exec.run_round(round_tiles);
 
     // Round-boundary cache analysis, before end_round for the same reason
     // the grid path runs it before end_iteration (tile_useful_next refers
@@ -169,7 +167,6 @@ struct ScrEngine::Runner {
 
     const bool more = algo.end_round(round, bucket);
     record_round(before, bucket, round_timer.seconds());
-    ++stats.rounds;
     return more;
   }
 
@@ -224,10 +221,7 @@ struct ScrEngine::Runner {
 };
 
 ScrEngine::ScrEngine(tile::TileStore& store, EngineConfig config)
-    : store_(store),
-      config_(config),
-      budget_(MemoryBudget::compute(config.stream_memory_bytes,
-                                    config.segment_bytes)) {}
+    : store_(store), config_(config) {}
 
 EngineStats ScrEngine::run(TileAlgorithm& algo) {
   Runner runner(store_, config_, algo);
@@ -251,7 +245,7 @@ EngineStats ScrEngine::resume(TileAlgorithm& algo,
   }
   EngineStats s = runner.run_priority(/*cold=*/false);
   GS_LOG(Info) << algo.name() << ": incremental resume over "
-               << delta_tiles.size() << " delta tiles, " << s.rounds
+               << delta_tiles.size() << " delta tiles, " << s.iterations
                << " rounds, " << s.bytes_read / (1 << 20) << " MiB read";
   return s;
 }

@@ -31,7 +31,6 @@
 
 #include "store/algorithm.h"
 #include "store/caching_policy.h"
-#include "store/memory_budget.h"
 #include "tile/tile_file.h"
 
 namespace gstore::store {
@@ -49,7 +48,6 @@ struct EngineConfig {
   std::uint64_t segment_bytes = 8ull << 20;
   CachePolicyKind policy = CachePolicyKind::kProactive;
   ScheduleMode schedule = ScheduleMode::kGrid;
-  bool rewind = true;      // off = "base policy" of the Fig 13 ablation
   bool overlap_io = true;  // double-buffer I/O with compute
   std::uint32_t max_iterations = 100000;
   // Whole-tile retry budget applied by the round executor to failed or
@@ -77,13 +75,10 @@ struct IterationStats {
 };
 
 struct EngineStats {
-  // Grid mode: grid sweeps. Priority mode and serve gangs: rounds (same
-  // value as `rounds`), so convergence comparisons read one field.
+  // Grid mode: grid sweeps. Priority mode: rounds (a round runs one
+  // bucket). Serve gangs: rounds (one iteration of every active job).
   std::uint32_t iterations = 0;
-  // Priority rounds executed (0 in grid mode; a round runs one bucket), or
-  // a serve gang's rounds (one iteration of every active job).
-  std::uint64_t rounds = 0;
-  // Highest bucket any round ran (0 when rounds == 0).
+  // Highest bucket any priority round ran (0 in grid mode and gangs).
   std::uint32_t max_bucket = 0;
   // Base-tile bytes fetched in rounds/iterations whose processing produced
   // zero label updates (last_round_updates() == 0) — I/O that bought no
@@ -143,14 +138,10 @@ class ScrEngine {
   EngineStats resume(TileAlgorithm& algo,
                      std::span<const std::uint64_t> delta_tiles);
 
-  const EngineConfig& config() const noexcept { return config_; }
-  const MemoryBudget& budget() const noexcept { return budget_; }
-
  private:
   struct Runner;
   tile::TileStore& store_;
   EngineConfig config_;
-  MemoryBudget budget_;
 };
 
 }  // namespace gstore::store

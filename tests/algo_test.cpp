@@ -22,12 +22,22 @@ using graph::EdgeList;
 using graph::GraphKind;
 using graph::vid_t;
 
+// How a scenario splits its stream memory between the two segments and the
+// cache pool.
+enum class Split {
+  kDefault,       // segments of an eighth of it (at least 512 B), pool the rest
+  kZeroPool,      // two segments fill it: no cache pool
+  kTinySegments,  // 512 B segments, smaller than the store's largest tile
+};
+
 struct Scenario {
   std::string name;
   EdgeList (*make)(std::uint64_t seed);
   unsigned tile_bits;
   std::uint64_t stream_kb;  // engine stream memory (KiB)
   store::CachePolicyKind policy;
+  Split split = Split::kDefault;
+  store::ScheduleMode schedule = store::ScheduleMode::kGrid;
 };
 
 EdgeList kron_und(std::uint64_t seed) {
@@ -59,6 +69,17 @@ const Scenario kScenarios[] = {
     {"Path", path_graph, 4, 8, store::CachePolicyKind::kProactive},
     {"Star", star_graph, 5, 8, store::CachePolicyKind::kProactive},
     {"TwoCliques", cliques, 4, 8, store::CachePolicyKind::kProactive},
+    // Resource edges, in both schedules.
+    {"KronUndZeroPool", kron_und, 5, 16, store::CachePolicyKind::kProactive,
+     Split::kZeroPool},
+    {"KronUndZeroPoolPriority", kron_und, 5, 16,
+     store::CachePolicyKind::kProactive, Split::kZeroPool,
+     store::ScheduleMode::kPriority},
+    {"KronUndTinySegments", kron_und, 8, 64, store::CachePolicyKind::kProactive,
+     Split::kTinySegments},
+    {"KronUndTinySegmentsPriority", kron_und, 8, 64,
+     store::CachePolicyKind::kProactive, Split::kTinySegments,
+     store::ScheduleMode::kPriority},
 };
 
 class AlgoScenarioTest : public ::testing::TestWithParam<Scenario> {
@@ -70,9 +91,29 @@ class AlgoScenarioTest : public ::testing::TestWithParam<Scenario> {
     o.group_side = 3;
     store_.emplace(gstore::testing::make_store(dir_, el_, o));
     cfg_.stream_memory_bytes = GetParam().stream_kb << 10;
-    cfg_.segment_bytes = std::max<std::uint64_t>(cfg_.stream_memory_bytes / 8, 512);
+    switch (GetParam().split) {
+      case Split::kDefault:
+        cfg_.segment_bytes =
+            std::max<std::uint64_t>(cfg_.stream_memory_bytes / 8, 512);
+        break;
+      case Split::kZeroPool:
+        cfg_.segment_bytes = cfg_.stream_memory_bytes / 2;
+        break;
+      case Split::kTinySegments:
+        cfg_.segment_bytes = 512;
+        ASSERT_LT(cfg_.segment_bytes, store_->max_tile_bytes());
+        break;
+    }
     cfg_.policy = GetParam().policy;
-    cfg_.rewind = GetParam().policy != store::CachePolicyKind::kNone;
+    cfg_.schedule = GetParam().schedule;
+  }
+
+  // Runs `algo` under the scenario's config. A zero pool caches nothing.
+  void run(store::TileAlgorithm& algo) {
+    const store::EngineStats stats = store::ScrEngine(*store_, cfg_).run(algo);
+    if (GetParam().split == Split::kZeroPool) {
+      EXPECT_EQ(stats.tiles_from_cache, 0u);
+    }
   }
 
   vid_t pick_root() const {
@@ -92,8 +133,7 @@ class AlgoScenarioTest : public ::testing::TestWithParam<Scenario> {
 TEST_P(AlgoScenarioTest, BfsMatchesReference) {
   const vid_t root = pick_root();
   TileBfs bfs(root);
-  store::ScrEngine engine(*store_, cfg_);
-  engine.run(bfs);
+  run(bfs);
   const auto want = ref_bfs(el_, root);
   ASSERT_EQ(bfs.depth().size(), want.size());
   std::uint64_t reachable = 0;
@@ -108,8 +148,7 @@ TEST_P(AlgoScenarioTest, PageRankMatchesReference) {
   PageRankOptions opt;
   opt.max_iterations = 5;
   TilePageRank pr(opt);
-  store::ScrEngine engine(*store_, cfg_);
-  engine.run(pr);
+  run(pr);
   const auto want = ref_pagerank(el_, 5);
   ASSERT_EQ(pr.ranks().size(), want.size());
   for (vid_t v = 0; v < want.size(); ++v)
@@ -118,8 +157,7 @@ TEST_P(AlgoScenarioTest, PageRankMatchesReference) {
 
 TEST_P(AlgoScenarioTest, WccMatchesReference) {
   TileWcc wcc;
-  store::ScrEngine engine(*store_, cfg_);
-  engine.run(wcc);
+  run(wcc);
   const auto want = ref_wcc(el_);
   ASSERT_EQ(wcc.labels().size(), want.size());
   for (vid_t v = 0; v < want.size(); ++v)
@@ -129,8 +167,7 @@ TEST_P(AlgoScenarioTest, WccMatchesReference) {
 TEST_P(AlgoScenarioTest, SsspMatchesDijkstra) {
   const vid_t root = pick_root();
   TileSssp sssp(root);
-  store::ScrEngine engine(*store_, cfg_);
-  engine.run(sssp);
+  run(sssp);
   const auto want = ref_sssp(el_, root);
   ASSERT_EQ(sssp.distances().size(), want.size());
   for (vid_t v = 0; v < want.size(); ++v) {

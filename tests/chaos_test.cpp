@@ -271,9 +271,9 @@ TEST(Chaos, SyncBackendHonorsTheSameRetryContract) {
   // The kSync backend runs each request inside submit(), through the same
   // per-request routine the workers run, and overlap_io == false waits for
   // each segment as soon as it is submitted; results must match the clean
-  // run just the same. The store outgrows the stream memory and there is no
-  // pool and no rewind, so WCC's one sweep reads its tiles in several
-  // batches and the engine's reads, not just open's, draw faults.
+  // run just the same. The store outgrows the stream memory and nothing is
+  // cached, so WCC's one sweep reads its tiles in several batches and the
+  // engine's reads, not just open's, draw faults.
   io::TempDir dir;
   const auto el = graph::kronecker(10, 8, GraphKind::kUndirected, 37);
   auto clean = gstore::testing::make_store(dir, el, small_tiles());
@@ -283,7 +283,6 @@ TEST(Chaos, SyncBackendHonorsTheSameRetryContract) {
   EngineConfig cfg = tiny_memory();
   cfg.overlap_io = false;
   cfg.policy = CachePolicyKind::kNone;
-  cfg.rewind = false;
   algo::TileWcc a, b;
   ScrEngine(clean, cfg).run(a);
   const EngineStats s = ScrEngine(faulty, cfg).run(b);

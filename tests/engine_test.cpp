@@ -139,7 +139,6 @@ TEST(ScrEngine, NoCacheBaselineRereadsEveryIteration) {
   auto store = kron_store(dir, 8, 4);
   EngineConfig c = tiny_memory();
   c.policy = CachePolicyKind::kNone;
-  c.rewind = false;
   RecordingAlgo algo(3);
   ScrEngine engine(store, c);
   const auto stats = engine.run(algo);
@@ -157,7 +156,6 @@ TEST(ScrEngine, CacheReducesIoVsNoCache) {
 
   EngineConfig nocache = base;
   nocache.policy = CachePolicyKind::kNone;
-  nocache.rewind = false;
 
   RecordingAlgo a1(4), a2(4);
   const auto with_cache = ScrEngine(store, base).run(a1);
@@ -333,7 +331,6 @@ TEST(ScrEngine, FatTupleStoreStreamsCorrectByteCounts) {
   auto store = gstore::testing::make_store(dir, el, o);
   EngineConfig cfg = tiny_memory();
   cfg.policy = CachePolicyKind::kNone;
-  cfg.rewind = false;
   RecordingAlgo algo(1);
   const auto stats = ScrEngine(store, cfg).run(algo);
   EXPECT_EQ(stats.bytes_read, store.edge_count() * 8);
@@ -543,7 +540,7 @@ TEST(ScrEngine, PriorityRoundsDrainAscendingBuckets) {
     seen += r.tiles.size();
   }
   EXPECT_EQ(seen, nonempty_tile_count(store));  // every tile exactly once
-  EXPECT_EQ(stats.rounds, rows.size());
+  EXPECT_EQ(stats.iterations, rows.size());
   EXPECT_EQ(stats.max_bucket, rows.back());
 }
 
@@ -577,7 +574,6 @@ TEST(ScrEngine, PriorityRoundRunsItsTilesInLayoutOrder) {
   // tile groups and layout order differs from row-major order.
   EngineConfig cfg = priority_config();
   cfg.policy = CachePolicyKind::kNone;
-  cfg.rewind = false;
   const OneThread one_thread;
   RowPriorityAlgo algo(/*offset=*/0, /*rows_per_bucket=*/4);
   ScrEngine(store, cfg).run(algo);
@@ -653,7 +649,6 @@ TEST(ScrEngine, PriorityModeCoversSameTilesAsGrid) {
   for (std::size_t k = 0; k < grid_algo.per_iter_.size(); ++k)
     EXPECT_EQ(prio_algo.per_iter_[k], grid_algo.per_iter_[k]);
   EXPECT_EQ(prio_algo.edges_seen_, grid_algo.edges_seen_);
-  EXPECT_EQ(stats.rounds, 3u);
   EXPECT_EQ(stats.iterations, 3u);
 }
 
@@ -664,7 +659,6 @@ TEST(ScrEngine, PriorityStatsAreCoherent) {
   cfg.schedule = ScheduleMode::kPriority;
   RecordingAlgo algo(4);
   const auto stats = ScrEngine(store, cfg).run(algo);
-  EXPECT_EQ(stats.rounds, 4u);
   EXPECT_EQ(stats.iterations, 4u);
   ASSERT_EQ(stats.per_iteration.size(), 4u);
   IterationStats sum;
@@ -772,6 +766,57 @@ TEST(WccExactWork, GridAndPriorityReadEveryTileOnce) {
                 store.edge_count() + (overlaid ? delta.edge_count() : 0));
       EXPECT_EQ(wcc.labels(), want);
     }
+  }
+}
+
+// ---- BFS's exact work ------------------------------------------------------
+
+// Which tiles a BFS level needs, and which of them the proactive pool keeps,
+// depend only on the frontier, never on thread timing, so BFS's counters are
+// exact. On the WCC test's graph from root 0: grid and priority, with a pool
+// holding the whole graph and with one holding half of it. A priority round
+// skips nothing by definition. One extra fetch fails the test.
+// tests/CMakeLists.txt also runs this at one and at four OpenMP threads.
+TEST(BfsExactWork, GridAndPriorityWithWholeAndHalfPool) {
+  io::TempDir dir;
+  const auto el = graph::kronecker(10, 8, GraphKind::kUndirected, 17);
+  tile::ConvertOptions o;
+  o.tile_bits = 5;
+  o.group_side = 3;
+  auto store = gstore::testing::make_store(dir, el, o);
+  const auto want = algo::ref_bfs(el, 0);
+  struct Work {
+    const char* path;
+    ScheduleMode mode;
+    bool half_pool;
+    std::uint64_t bytes_read;
+    std::uint64_t tiles_from_disk;
+    std::uint64_t tiles_from_cache;
+    std::uint64_t tiles_skipped;
+    std::uint32_t iterations;
+  };
+  // Measured, the same at one and at four threads. A pool holding the whole
+  // graph reads its 14760 bytes once.
+  const Work cases[] = {
+      {"grid, whole pool", ScheduleMode::kGrid, false, 14760, 524, 784, 788, 4},
+      {"grid, half pool", ScheduleMode::kGrid, true, 22860, 817, 491, 788, 4},
+      {"priority, whole pool", ScheduleMode::kPriority, false, 14760, 524, 784,
+       0, 4},
+      {"priority, half pool", ScheduleMode::kPriority, true, 22860, 817, 491, 0,
+       4},
+  };
+  for (const Work& w : cases) {
+    SCOPED_TRACE(w.path);
+    EngineConfig cfg = w.half_pool ? half_cached(store) : EngineConfig{};
+    cfg.schedule = w.mode;
+    algo::TileBfs bfs(0);
+    const auto stats = ScrEngine(store, cfg).run(bfs);
+    EXPECT_EQ(bfs.depth(), want);
+    EXPECT_EQ(stats.bytes_read, w.bytes_read);
+    EXPECT_EQ(stats.tiles_from_disk, w.tiles_from_disk);
+    EXPECT_EQ(stats.tiles_from_cache, w.tiles_from_cache);
+    EXPECT_EQ(stats.tiles_skipped, w.tiles_skipped);
+    EXPECT_EQ(stats.iterations, w.iterations);
   }
 }
 

@@ -64,7 +64,6 @@ TEST_P(RandomConfigTest, ResultsInvariantToEngineConfig) {
     cfg.stream_memory_bytes = 4096 + rng.next_below(512 << 10);
     cfg.segment_bytes = 512 + rng.next_below(64 << 10);
     cfg.policy = static_cast<store::CachePolicyKind>(rng.next_below(3));
-    cfg.rewind = rng.next_below(2) == 0;
     cfg.overlap_io = rng.next_below(2) == 0;
 
     algo::TileBfs bfs(0);
@@ -860,7 +859,7 @@ void expect_bfs_sssp_schedule_identical(tile::TileStore& store,
     store::ScrEngine(store, grid).run(a);
     const auto stats = store::ScrEngine(store, prio).run(b);
     ASSERT_EQ(a.depth(), b.depth()) << label;
-    EXPECT_GT(stats.rounds, 0u) << label;
+    EXPECT_GT(stats.iterations, 0u) << label;
   }
   {
     algo::TileSssp a(0), b(0);
@@ -948,7 +947,7 @@ TEST(PropertyPriority, PageRankDeltaAgreesAcrossSchedulesAndWithPowerIteration) 
   const auto stats =
       store::ScrEngine(store, schedule_cfg(store::ScheduleMode::kPriority))
           .run(prio_pr);
-  EXPECT_GT(stats.rounds, 0u);
+  EXPECT_GT(stats.iterations, 0u);
   EXPECT_LT(grid_pr.residual_mass(), 1e-8);
   EXPECT_LT(prio_pr.residual_mass(), 1e-8);
 

@@ -6,11 +6,17 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algo/bfs.h"
+#include "algo/cc.h"
+#include "algo/pagerank.h"
+#include "algo/reference.h"
+#include "algo/sssp.h"
 #include "graph/generator.h"
 #include "ingest/ingestor.h"
 #include "serve/client.h"
@@ -745,7 +751,7 @@ TEST(SharedScheduler, AdmitsTileLargerThanPerJobQuotaOnPoolHeadroom) {
   ASSERT_EQ(states.size(), 2u);
   EXPECT_EQ(states[0], JobState::kDone);
   EXPECT_EQ(states[1], JobState::kDone);
-  EXPECT_EQ(gang.rounds, kRounds);
+  EXPECT_EQ(gang.iterations, kRounds);
   // One disk fetch for the first round; every later round is a cache hit.
   EXPECT_EQ(gang.tiles_from_disk, 1u);
   EXPECT_EQ(gang.tiles_from_cache, kRounds - 1);
@@ -807,7 +813,7 @@ TEST(SharedScheduler, SlideReadsOverlapRewind) {
   gstore::testing::OverlapProbeAlgo algo(store, /*throw_on_probe=*/false);
   const GangRun r = run_gang(sched, algo);
   ASSERT_EQ(r.states, std::vector<JobState>{JobState::kDone});
-  ASSERT_EQ(r.stats.rounds, 2u);
+  ASSERT_EQ(r.stats.iterations, 2u);
   // Round 0 fetches every tile; round 1 takes some from the pool and
   // fetches the rest.
   ASSERT_GT(r.stats.tiles_from_cache, 0u);
@@ -836,6 +842,66 @@ TEST(SharedScheduler, RewindThrowWithReadsInFlightFailsJobCleanly) {
   const GangRun again = run_gang(sched, next);
   EXPECT_EQ(again.states, std::vector<JobState>{JobState::kDone});
   EXPECT_TRUE(next.overlapped());
+}
+
+// Resource edges: a gang of BFS, SSSP, WCC and PageRank jobs gives the
+// references' answers with a zero-byte pool (two segments fill the stream
+// memory, the only way to turn a gang's caching off) and with segments
+// smaller than the largest tile, and the zero pool serves no tile from the
+// cache.
+TEST(SharedScheduler, ZeroPoolAndTinySegmentsMatchReferences) {
+  io::TempDir dir;
+  const auto el = graph::kronecker(9, 6, graph::GraphKind::kUndirected, 17);
+  tile::ConvertOptions o;
+  o.tile_bits = 7;
+  o.group_side = 2;
+  ingest::EdgeIngestor ingestor(convert(dir, el, o));
+  SnapshotManager snaps(ingestor);
+  serve::SnapshotRef pinned = snaps.acquire();
+  const std::uint64_t max_tile = pinned->store().max_tile_bytes();
+  ASSERT_GT(max_tile, 2u);
+
+  constexpr std::uint32_t kPageRankIterations = 5;
+  const auto want_depth = algo::ref_bfs(el, 0);
+  const auto want_dist = algo::ref_sssp(el, 0);
+  const auto want_labels = algo::ref_wcc(el);
+  const auto want_ranks = algo::ref_pagerank(el, kPageRankIterations);
+  for (const bool zero_pool : {true, false}) {
+    SCOPED_TRACE(zero_pool ? "zero pool" : "segments under the largest tile");
+    serve::SchedulerConfig cfg;
+    cfg.segment_bytes = zero_pool ? 4 << 10 : max_tile / 2;
+    cfg.stream_memory_bytes = zero_pool ? 2 * cfg.segment_bytes : 64 << 10;
+    algo::TileBfs bfs(0);
+    algo::TileSssp sssp(0);
+    algo::TileWcc wcc;
+    algo::TilePageRank pr(
+        algo::PageRankOptions{0.85, kPageRankIterations, 0.0});
+    std::vector<JobState> states;
+    serve::SharedScheduler sched(*pinned, cfg);
+    const store::EngineStats gang = sched.run(
+        {serve::GangJob{1, &bfs, {}}, serve::GangJob{2, &sssp, {}},
+         serve::GangJob{3, &wcc, {}}, serve::GangJob{4, &pr, {}}},
+        nullptr,
+        [&](const serve::GangJob&, JobState st, const serve::JobStats&,
+            const std::string&) { states.push_back(st); });
+    EXPECT_EQ(states, std::vector<JobState>(4, JobState::kDone));
+    if (zero_pool) {
+      EXPECT_EQ(gang.tiles_from_cache, 0u);
+    }
+    EXPECT_EQ(bfs.depth(), want_depth);
+    EXPECT_EQ(wcc.labels(), want_labels);
+    ASSERT_EQ(sssp.distances().size(), want_dist.size());
+    for (std::size_t v = 0; v < want_dist.size(); ++v) {
+      if (std::isinf(want_dist[v])) {
+        EXPECT_TRUE(std::isinf(sssp.distances()[v])) << "vertex " << v;
+      } else {
+        EXPECT_NEAR(sssp.distances()[v], want_dist[v], 1e-3) << "vertex " << v;
+      }
+    }
+    ASSERT_EQ(pr.ranks().size(), want_ranks.size());
+    for (std::size_t v = 0; v < want_ranks.size(); ++v)
+      EXPECT_NEAR(pr.ranks()[v], want_ranks[v], 1e-4) << "vertex " << v;
+  }
 }
 
 // A WCC job in a gang is one sweep, as in the serial engine, and its labels

@@ -178,6 +178,7 @@ TEST(Convert, SelfLoopsDropped) {
   auto el = EdgeList::from_edges({{3, 3}, {1, 2}}, GraphKind::kUndirected);
   auto store = gstore::testing::make_store(dir, el, small_tiles());
   EXPECT_EQ(store.edge_count(), 1u);
+  EXPECT_EQ(store.load_degrees()[3], 0u);  // a dropped loop adds no degree
 }
 
 TEST(Convert, DirectedOutEdges) {

@@ -40,7 +40,10 @@ namespace {
 bool g_trace = false;
 
 void print_stats(const gstore::store::EngineStats& s, double secs) {
-  const bool priority = s.rounds > 0;
+  // Priority rounds record their bucket; grid sweeps record kNoBucket.
+  using gstore::store::IterationStats;
+  const bool priority = !s.per_iteration.empty() &&
+                        s.per_iteration[0].bucket != IterationStats::kNoBucket;
   if (g_trace) {
     if (priority)
       std::printf(
@@ -69,9 +72,9 @@ void print_stats(const gstore::store::EngineStats& s, double secs) {
   }
   if (priority)
     std::printf(
-        "run: %.3fs | %llu rounds (max bucket %u) | %.1f MiB read in %llu "
+        "run: %.3fs | %u rounds (max bucket %u) | %.1f MiB read in %llu "
         "batches | %llu tiles from disk, %llu from cache\n",
-        secs, static_cast<unsigned long long>(s.rounds), s.max_bucket,
+        secs, s.iterations, s.max_bucket,
         s.bytes_read / double(1 << 20),
         static_cast<unsigned long long>(s.io_batches),
         static_cast<unsigned long long>(s.tiles_from_disk),
@@ -121,7 +124,6 @@ int main(int argc, char** argv) {
   opts.add("memory-mb", "64", "streaming+caching memory (MiB)");
   opts.add("segment-mb", "8", "segment size (MiB)");
   opts.add("policy", "proactive", "caching policy: proactive | lru | none");
-  opts.add_flag("no-rewind", "disable the rewind phase (base policy)");
   opts.add("devices", "0", "emulate N SSDs (0 = native speed)");
   opts.add("stripe", "0", "read .tiles from a striped set of N members");
   opts.add("fault-spec", "",
@@ -193,7 +195,6 @@ int main(int argc, char** argv) {
     cfg.policy = policy == "lru"    ? store::CachePolicyKind::kLru
                  : policy == "none" ? store::CachePolicyKind::kNone
                                     : store::CachePolicyKind::kProactive;
-    cfg.rewind = !opts.get_bool("no-rewind");
     const std::string schedule = opts.get("schedule");
     if (schedule == "priority")
       cfg.schedule = store::ScheduleMode::kPriority;

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   opts.add("fault-spec", "",
            "inject I/O faults on the serve read path, e.g. "
            "seed=7,eio=0.01,short=0.05 (see io/fault.h)");
-  opts.add_flag("no-rewind", "disable the rewind phase");
 
   try {
     opts.parse(argc, argv);
@@ -76,7 +75,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(opts.get_int("stream-mb")) << 20;
     mopt.scheduler.segment_bytes =
         static_cast<std::uint64_t>(opts.get_int("segment-mb")) << 20;
-    mopt.scheduler.rewind = !opts.get_bool("no-rewind");
     mopt.snapshot_device.devices =
         static_cast<unsigned>(opts.get_int("devices"));
     mopt.snapshot_device.fault_spec = opts.get("fault-spec");
