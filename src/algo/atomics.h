@@ -3,11 +3,22 @@
 // When the process runs single-threaded (this is detected once at startup),
 // the helpers take plain non-atomic paths — a CAS loop per edge would
 // otherwise dominate single-core runs and distort engine comparisons.
+//
+// The rule for block kernels: the per-edge loop writes only per-vertex
+// entries (a depth, a distance, a residual). A location that every worker
+// reads or writes — an update counter, a per-tile-row flag, minimum or sum —
+// is written once per block and side: the kernel keeps its count and its
+// per-side results in registers and publishes them when the block ends
+// (block_rows, mark_row below). One shared write per update moves a cache
+// line between cores on every success (docs/HOTPATH.md, "Frontier kernels").
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <type_traits>
+
+#include "tile/edge_block.h"
+#include "util/dcheck.h"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -95,6 +106,27 @@ inline void atomic_fetch_add(T* p, T val) noexcept {
     return;
   }
   std::atomic_ref<T>(*p).fetch_add(val, std::memory_order_relaxed);
+}
+
+// Sets a per-row flag that other workers share. The load keeps a flag that
+// is already set from dirtying its line again.
+inline void mark_row(std::uint8_t* flag) noexcept {
+  if (atomic_load(flag) == 0) atomic_store(flag, std::uint8_t{1});
+}
+
+// The tile rows of a block's two tuple fields: `i` holds every block.src[k]
+// and `j` every block.dst[k]. Every tuple of tile (i, j) has its first field
+// in row i and its second in row j (Grid::tile_of; an overlay view keeps its
+// tile's coordinates), so a kernel publishes a block's per-row results once
+// per side.
+inline tile::TileCoord block_rows(const tile::EdgeBlock& block,
+                                  unsigned tile_bits) noexcept {
+  const tile::TileCoord rows = block.view->coord;
+  for (std::uint32_t k = 0; k < block.size; ++k) {
+    GSTORE_DCHECK_EQ(block.src[k] >> tile_bits, rows.i);
+    GSTORE_DCHECK_EQ(block.dst[k] >> tile_bits, rows.j);
+  }
+  return rows;
 }
 
 }  // namespace gstore::algo

@@ -25,14 +25,6 @@ void TileBfs::init(const tile::TileStore& store) {
 
 void TileBfs::begin_iteration(std::uint32_t) { newly_visited_ = 0; }
 
-void TileBfs::visit(graph::vid_t v, std::int32_t next_level) {
-  if (atomic_cas(&depth_[v], kUnvisited, next_level)) {
-    atomic_store(&frontier_row_next_[v >> tile_bits_], std::uint8_t{1});
-    std::atomic_ref<std::uint64_t>(newly_visited_)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void TileBfs::process_tile(const tile::TileView& view) {
   tile::for_each_block(view,
                        [this](const tile::EdgeBlock& b) { process_block(b); });
@@ -43,25 +35,42 @@ void TileBfs::process_block(const tile::EdgeBlock& block) {
   // the original edge and `to` its tail, so the frontier test flips.
   const graph::vid_t* from = in_edges_ ? block.dst : block.src;
   const graph::vid_t* to = in_edges_ ? block.src : block.dst;
-  block.prefetch_src(depth_.data());
-  block.prefetch_dst(depth_.data());
-  const std::int32_t next_level = level_ + 1;
+  const tile::TileCoord rows = block_rows(block, tile_bits_);
+  const std::uint32_t from_row = in_edges_ ? rows.j : rows.i;
+  const std::uint32_t to_row = in_edges_ ? rows.i : rows.j;
+  std::int32_t* depth = depth_.data();
+  block.prefetch_src(depth);
+  block.prefetch_dst(depth);
+  const bool both_ways = symmetric_;
+  const std::int32_t level = level_;
+  const std::int32_t next_level = level + 1;
+  // Visits per side of the tuple, published once when the block ends.
+  std::uint32_t to_visits = 0;
+  std::uint32_t from_visits = 0;
   for (std::uint32_t k = 0; k < block.size; ++k) {
-    if (atomic_load(&depth_[from[k]]) == level_ &&
-        atomic_load(&depth_[to[k]]) == kUnvisited)
-      visit(to[k], next_level);
-    if (symmetric_ && atomic_load(&depth_[to[k]]) == level_ &&
-        atomic_load(&depth_[from[k]]) == kUnvisited)
-      visit(from[k], next_level);  // Algorithm 1 lines 8-10
+    if (atomic_load(&depth[from[k]]) == level &&
+        atomic_load(&depth[to[k]]) == kUnvisited &&
+        atomic_cas(&depth[to[k]], kUnvisited, next_level))
+      ++to_visits;
+    if (both_ways && atomic_load(&depth[to[k]]) == level &&
+        atomic_load(&depth[from[k]]) == kUnvisited &&
+        atomic_cas(&depth[from[k]], kUnvisited, next_level))
+      ++from_visits;  // Algorithm 1 lines 8-10
   }
+  if (to_visits + from_visits == 0) return;
+  atomic_fetch_add(&newly_visited_, std::uint64_t{to_visits + from_visits});
+  if (to_visits != 0) mark_row(&frontier_row_next_[to_row]);
+  if (from_visits != 0) mark_row(&frontier_row_next_[from_row]);
 }
 
 bool TileBfs::end_iteration(std::uint32_t) {
   visited_ += newly_visited_;
-  ++level_;
   frontier_row_cur_.swap(frontier_row_next_);
   std::fill(frontier_row_next_.begin(), frontier_row_next_.end(), 0);
-  return newly_visited_ > 0;
+  // A level that visits nothing ends the run; level_ stays the deepest one.
+  if (newly_visited_ == 0) return false;
+  ++level_;
+  return true;
 }
 
 bool TileBfs::tile_needed(std::uint32_t i, std::uint32_t j) const {

@@ -39,11 +39,11 @@ class TileBfs final : public store::TileAlgorithm {
 
   const std::vector<std::int32_t>& depth() const noexcept { return depth_; }
   std::uint64_t visited_count() const noexcept { return visited_; }
+  // Deepest level reached (0 when the root has no out-edges).
   std::int32_t max_depth() const noexcept { return level_; }
 
  private:
   void process_block(const tile::EdgeBlock& block);
-  void visit(graph::vid_t v, std::int32_t next_level);
 
   graph::vid_t root_;
   bool symmetric_ = true;
@@ -51,7 +51,7 @@ class TileBfs final : public store::TileAlgorithm {
   unsigned tile_bits_ = 16;
   std::int32_t level_ = 0;
   std::uint64_t visited_ = 0;
-  std::uint64_t newly_visited_ = 0;  // accumulated atomically during iteration
+  std::uint64_t newly_visited_ = 0;  // summed once per block during iteration
   std::vector<std::int32_t> depth_;
   std::vector<std::uint8_t> frontier_row_cur_;   // tile-row has depth==level
   std::vector<std::uint8_t> frontier_row_next_;  // tile-row gained depth==level+1

@@ -25,14 +25,6 @@ void TileBfsAsync::init(const tile::TileStore& store) {
 
 void TileBfsAsync::begin_iteration(std::uint32_t) { relaxed_ = 0; }
 
-void TileBfsAsync::relax(graph::vid_t to, std::int32_t cand) {
-  if (atomic_min(&depth_[to], cand)) {
-    atomic_store(&active_row_next_[to >> tile_bits_], std::uint8_t{1});
-    std::atomic_ref<std::uint64_t>(relaxed_).fetch_add(
-        1, std::memory_order_relaxed);
-  }
-}
-
 void TileBfsAsync::process_tile(const tile::TileView& view) {
   tile::for_each_block(view,
                        [this](const tile::EdgeBlock& b) { process_block(b); });
@@ -41,17 +33,29 @@ void TileBfsAsync::process_tile(const tile::TileView& view) {
 void TileBfsAsync::process_block(const tile::EdgeBlock& block) {
   const graph::vid_t* from = in_edges_ ? block.dst : block.src;
   const graph::vid_t* to = in_edges_ ? block.src : block.dst;
-  block.prefetch_src(depth_.data());
-  block.prefetch_dst(depth_.data());
+  const tile::TileCoord rows = block_rows(block, tile_bits_);
+  const std::uint32_t from_row = in_edges_ ? rows.j : rows.i;
+  const std::uint32_t to_row = in_edges_ ? rows.i : rows.j;
+  std::int32_t* depth = depth_.data();
+  block.prefetch_src(depth);
+  block.prefetch_dst(depth);
+  const bool both_ways = symmetric_;
+  // Relaxations per side of the tuple, published once when the block ends.
+  std::uint32_t to_relaxed = 0;
+  std::uint32_t from_relaxed = 0;
   for (std::uint32_t k = 0; k < block.size; ++k) {
     // Freshest value, not an iteration snapshot — the "asynchronous" part.
-    const std::int32_t df = atomic_load(&depth_[from[k]]);
-    if (df != kInf) relax(to[k], df + 1);
-    if (symmetric_) {
-      const std::int32_t dt = atomic_load(&depth_[to[k]]);
-      if (dt != kInf) relax(from[k], dt + 1);
+    const std::int32_t df = atomic_load(&depth[from[k]]);
+    if (df != kInf && atomic_min(&depth[to[k]], df + 1)) ++to_relaxed;
+    if (both_ways) {
+      const std::int32_t dt = atomic_load(&depth[to[k]]);
+      if (dt != kInf && atomic_min(&depth[from[k]], dt + 1)) ++from_relaxed;
     }
   }
+  if (to_relaxed + from_relaxed == 0) return;
+  atomic_fetch_add(&relaxed_, std::uint64_t{to_relaxed + from_relaxed});
+  if (to_relaxed != 0) mark_row(&active_row_next_[to_row]);
+  if (from_relaxed != 0) mark_row(&active_row_next_[from_row]);
 }
 
 bool TileBfsAsync::end_iteration(std::uint32_t) {

@@ -37,7 +37,6 @@ class TileBfsAsync final : public store::TileAlgorithm {
 
  private:
   void process_block(const tile::EdgeBlock& block);
-  void relax(graph::vid_t to, std::int32_t cand);
 
   graph::vid_t root_;
   bool symmetric_ = true;

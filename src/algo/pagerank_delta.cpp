@@ -96,11 +96,6 @@ void TilePageRankDelta::begin_iteration(std::uint32_t) {
   drain_rows_upto(kPriorityIdle - 1);
 }
 
-void TilePageRankDelta::deposit(graph::vid_t v, std::uint64_t amount_fx) {
-  atomic_fetch_add(&res_fx_[v], amount_fx);
-  atomic_fetch_add(&row_res_fx_[v >> tile_bits_], amount_fx);
-}
-
 void TilePageRankDelta::process_tile(const tile::TileView& view) {
   tile::for_each_block(view,
                        [this](const tile::EdgeBlock& b) { process_block(b); });
@@ -110,28 +105,41 @@ void TilePageRankDelta::process_block(const tile::EdgeBlock& block) {
   const graph::vid_t* a = block.src;
   const graph::vid_t* b = block.dst;
   const std::uint32_t n = block.size;
-  block.prefetch_src(push_fx_.data());
-  block.prefetch_dst(push_fx_.data());
+  const tile::TileCoord rows = block_rows(block, tile_bits_);
+  const std::uint64_t* push = push_fx_.data();
+  std::uint64_t* res = res_fx_.data();
+  block.prefetch_src(push);
+  block.prefetch_dst(push);
+  // Mass deposited on each side of the tuple (a in row i, b in row j),
+  // added to the rows' pending mass once when the block ends.
+  std::uint64_t a_mass = 0;
+  std::uint64_t b_mass = 0;
   if (symmetric_) {
     // One stored tuple carries both directions of the undirected edge.
     for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint64_t pa = push_fx_[a[k]];
-      if (pa != 0) deposit(b[k], pa);
-      const std::uint64_t pb = push_fx_[b[k]];
-      if (pb != 0) deposit(a[k], pb);
+      const std::uint64_t pa = push[a[k]];
+      if (pa != 0) atomic_fetch_add(&res[b[k]], pa);
+      b_mass += pa;
+      const std::uint64_t pb = push[b[k]];
+      if (pb != 0) atomic_fetch_add(&res[a[k]], pb);
+      a_mass += pb;
     }
   } else if (in_edges_) {
     // Tuple is (dst, src): a receives from b.
     for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint64_t pb = push_fx_[b[k]];
-      if (pb != 0) deposit(a[k], pb);
+      const std::uint64_t pb = push[b[k]];
+      if (pb != 0) atomic_fetch_add(&res[a[k]], pb);
+      a_mass += pb;
     }
   } else {
     for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint64_t pa = push_fx_[a[k]];
-      if (pa != 0) deposit(b[k], pa);
+      const std::uint64_t pa = push[a[k]];
+      if (pa != 0) atomic_fetch_add(&res[b[k]], pa);
+      b_mass += pa;
     }
   }
+  if (a_mass != 0) atomic_fetch_add(&row_res_fx_[rows.i], a_mass);
+  if (b_mass != 0) atomic_fetch_add(&row_res_fx_[rows.j], b_mass);
 }
 
 bool TilePageRankDelta::end_round(std::uint32_t, std::uint32_t) {

@@ -71,7 +71,6 @@ class TilePageRankDelta final : public store::TileAlgorithm {
   void process_block(const tile::EdgeBlock& block);
   void drain_rows_upto(std::uint32_t bucket);
   std::uint32_t bucket_of_row(std::uint32_t r) const;
-  void deposit(graph::vid_t v, std::uint64_t amount_fx);
 
   PageRankDeltaOptions options_;
   bool symmetric_ = true;

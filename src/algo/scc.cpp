@@ -35,20 +35,24 @@ void TileReach::process_tile(const tile::TileView& view) {
 }
 
 void TileReach::process_block(const tile::EdgeBlock& block) {
-  block.prefetch_src(reached_.data());
-  block.prefetch_dst(reached_.data());
+  const tile::TileCoord rows = block_rows(block, tile_bits_);
+  std::uint8_t* reached = reached_.data();
+  const std::uint8_t* mask = mask_ != nullptr ? mask_->data() : nullptr;
+  block.prefetch_src(reached);
+  block.prefetch_dst(reached);
+  // Reaches in this block, all in tile row j: published once at block end.
+  std::uint32_t hits = 0;
   for (std::uint32_t k = 0; k < block.size; ++k) {
     const graph::vid_t a = block.src[k];
     const graph::vid_t b = block.dst[k];
     // Tuples followed verbatim: a → b.
-    if (!atomic_load(&reached_[a]) || atomic_load(&reached_[b])) continue;
-    if (mask_ != nullptr && (!(*mask_)[a] || !(*mask_)[b])) continue;
-    if (atomic_cas<std::uint8_t>(&reached_[b], 0, 1)) {
-      atomic_store(&frontier_row_next_[b >> tile_bits_], std::uint8_t{1});
-      std::atomic_ref<std::uint64_t>(new_reached_)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
+    if (!atomic_load(&reached[a]) || atomic_load(&reached[b])) continue;
+    if (mask != nullptr && (!mask[a] || !mask[b])) continue;
+    if (atomic_cas<std::uint8_t>(&reached[b], 0, 1)) ++hits;
   }
+  if (hits == 0) return;
+  atomic_fetch_add(&new_reached_, std::uint64_t{hits});
+  mark_row(&frontier_row_next_[rows.j]);
 }
 
 bool TileReach::end_iteration(std::uint32_t) {

@@ -26,15 +26,6 @@ void TileSssp::init(const tile::TileStore& store) {
 
 void TileSssp::begin_iteration(std::uint32_t) { relaxed_ = 0; }
 
-void TileSssp::relax(graph::vid_t to, float cand) {
-  if (atomic_min(&dist_[to], cand)) {
-    atomic_store(&active_row_next_[to >> tile_bits_], std::uint8_t{1});
-    atomic_min(&row_pending_[to >> tile_bits_], cand);
-    std::atomic_ref<std::uint64_t>(relaxed_).fetch_add(
-        1, std::memory_order_relaxed);
-  }
-}
-
 void TileSssp::process_tile(const tile::TileView& view) {
   tile::for_each_block(view,
                        [this](const tile::EdgeBlock& b) { process_block(b); });
@@ -43,17 +34,43 @@ void TileSssp::process_tile(const tile::TileView& view) {
 void TileSssp::process_block(const tile::EdgeBlock& block) {
   const graph::vid_t* from = in_edges_ ? block.dst : block.src;
   const graph::vid_t* to = in_edges_ ? block.src : block.dst;
-  block.prefetch_src(dist_.data());
-  block.prefetch_dst(dist_.data());
+  const tile::TileCoord rows = block_rows(block, tile_bits_);
+  const std::uint32_t from_row = in_edges_ ? rows.j : rows.i;
+  const std::uint32_t to_row = in_edges_ ? rows.i : rows.j;
+  float* dist = dist_.data();
+  block.prefetch_src(dist);
+  block.prefetch_dst(dist);
+  const bool both_ways = symmetric_;
+  // Relaxations, and each side's smallest successful candidate (kInf: none),
+  // published once when the block ends.
+  std::uint32_t relaxed = 0;
+  float to_best = kInf;
+  float from_best = kInf;
   for (std::uint32_t k = 0; k < block.size; ++k) {
     const float w = edge_weight(block.src[k], block.dst[k]);
-    const float df = atomic_load(&dist_[from[k]]);
-    if (df != kInf) relax(to[k], df + w);
-    if (symmetric_) {
-      const float dt = atomic_load(&dist_[to[k]]);
-      if (dt != kInf) relax(from[k], dt + w);
+    const float df = atomic_load(&dist[from[k]]);
+    if (df != kInf && atomic_min(&dist[to[k]], df + w)) {
+      ++relaxed;
+      to_best = std::min(to_best, df + w);
+    }
+    if (both_ways) {
+      const float dt = atomic_load(&dist[to[k]]);
+      if (dt != kInf && atomic_min(&dist[from[k]], dt + w)) {
+        ++relaxed;
+        from_best = std::min(from_best, dt + w);
+      }
     }
   }
+  if (relaxed == 0) return;
+  atomic_fetch_add(&relaxed_, std::uint64_t{relaxed});
+  publish(to_row, to_best);
+  publish(from_row, from_best);
+}
+
+void TileSssp::publish(std::uint32_t row, float best) {
+  if (best == kInf) return;
+  mark_row(&active_row_next_[row]);
+  atomic_min(&row_pending_[row], best);
 }
 
 bool TileSssp::end_iteration(std::uint32_t) {

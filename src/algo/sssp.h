@@ -67,7 +67,8 @@ class TileSssp final : public store::TileAlgorithm {
 
  private:
   void process_block(const tile::EdgeBlock& block);
-  void relax(graph::vid_t to, float cand);
+  // Marks tile row `row` active with pending distance `best` (kInf: none).
+  void publish(std::uint32_t row, float best);
   std::uint32_t bucket_of(float d) const;
 
   graph::vid_t root_;
@@ -80,7 +81,7 @@ class TileSssp final : public store::TileAlgorithm {
   std::vector<std::uint8_t> active_row_cur_;   // row had a distance drop last iter
   std::vector<std::uint8_t> active_row_next_;
   // Priority-mode state: per tile-row minimum un-drained candidate distance
-  // (kInf = nothing pending). relax() lowers it; begin_round clears it for
+  // (kInf = nothing pending). publish() lowers it; begin_round clears it for
   // the rows whose bucket the round drains, so in-round relaxations re-arm
   // them for a later round.
   std::vector<float> row_pending_;

@@ -785,6 +785,11 @@ TEST(BfsExactWork, GridAndPriorityWithWholeAndHalfPool) {
   o.group_side = 3;
   auto store = gstore::testing::make_store(dir, el, o);
   const auto want = algo::ref_bfs(el, 0);
+  const auto reached = static_cast<std::uint64_t>(
+      std::count_if(want.begin(), want.end(), [](std::int32_t d) {
+        return d != algo::TileBfs::kUnvisited;
+      }));
+  const std::int32_t deepest = *std::max_element(want.begin(), want.end());
   struct Work {
     const char* path;
     ScheduleMode mode;
@@ -812,6 +817,10 @@ TEST(BfsExactWork, GridAndPriorityWithWholeAndHalfPool) {
     algo::TileBfs bfs(0);
     const auto stats = ScrEngine(store, cfg).run(bfs);
     EXPECT_EQ(bfs.depth(), want);
+    // The kernels sum their visits once per block: a dropped or doubled
+    // block's count shows here.
+    EXPECT_EQ(bfs.visited_count(), reached);
+    EXPECT_EQ(bfs.max_depth(), deepest);
     EXPECT_EQ(stats.bytes_read, w.bytes_read);
     EXPECT_EQ(stats.tiles_from_disk, w.tiles_from_disk);
     EXPECT_EQ(stats.tiles_from_cache, w.tiles_from_cache);

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """check_concurrency.py self-test, exercising the R4 ban list (including
 timed/recursive mutexes, once_flag/call_once, and the bare
-std::lock/std::try_lock algorithms), one fixture per other rule, and R6
-hidden in a macro's _Pragma operator.
+std::lock/std::try_lock algorithms), one fixture per other rule, R6
+hidden in a macro's _Pragma operator, and R8 split over two lines beside
+the per-vertex and per-block adds it must leave alone.
 
     python3 tests/lint/check_concurrency_selftest.py <repo_root>
 
@@ -49,6 +50,24 @@ R6_PRAGMA_LINES = [
     '#define GS_PAR _Pragma("omp parallel for schedule(dynamic, 1)")',
     '#define GS_CHUNKED _Pragma("omp parallel for schedule(dynamic)")',
     'const char* doc = "not schedule(dynamic, 1)";',
+]
+
+# R8: a per-update bump of a shared counter, split before .fetch_add as
+# block kernels wrote it (flagged on line 2), and the adds that stay clean:
+# a per-vertex entry and a block's total added once.
+R8_FLAGGED_LINES = [
+    "void Bfs::visit() {",
+    "  std::atomic_ref<std::uint64_t>(newly_visited_)",
+    "      .fetch_add(1, std::memory_order_relaxed);",
+    "}",
+]
+R8_CLEAN_LINES = [
+    "void KCore::count(graph::vid_t a, std::uint32_t hits) {",
+    "  std::atomic_ref<graph::degree_t>(live_degree_[a])",
+    "      .fetch_add(1, std::memory_order_relaxed);",
+    "  atomic_fetch_add(&relaxed_, std::uint64_t{hits});",
+    "  std::atomic_ref<std::uint64_t>(total_).fetch_add(hits);",
+    "}",
 ]
 
 
@@ -138,6 +157,22 @@ def main() -> int:
         if rc != 0:
             failures.append(f"joined-threads set: expected exit 0, got "
                             f"{rc}\n{out}")
+
+        # R8 applies to the algorithm kernels: flagged across the line
+        # break, and quiet on per-vertex and per-block adds.
+        bump = tree / "bump" / "src" / "algo" / "bfs.cpp"
+        bump.parent.mkdir(parents=True)
+        bump.write_text("\n".join(R8_FLAGGED_LINES) + "\n")
+        rc, out = run_lint(cc, tree / "bump")
+        if rc != 1 or "bfs.cpp:2: R8:" not in out or out.count(" R8: ") != 1:
+            failures.append(f"R8 flagged set: expected exit 1 and one R8 on "
+                            f"line 2, got exit {rc}\n{out}")
+        adds = tree / "adds" / "src" / "algo" / "kcore.cpp"
+        adds.parent.mkdir(parents=True)
+        adds.write_text("\n".join(R8_CLEAN_LINES) + "\n")
+        rc, out = run_lint(cc, tree / "adds")
+        if rc != 0:
+            failures.append(f"R8 clean set: expected exit 0, got {rc}\n{out}")
 
     if failures:
         for f in failures:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific concurrency/I/O lint for the G-Store core.
 
-Seven rule families clang-tidy cannot express for us:
+Eight rule families clang-tidy cannot express for us:
 
 R1 cross-thread annotations.
    A member documented as shared across threads carries the token
@@ -55,6 +55,17 @@ R7 detached threads.
    thread still touches). Every std::thread in the daemon is tracked and
    joined — see serve::Server's connection registry for the pattern.
 
+R8 per-update counters on shared scalars.
+   `std::atomic_ref<T>(member_)` followed by `.fetch_add(1` or
+   `.fetch_sub(1` is banned in src/algo: a block kernel that bumps one
+   shared counter per successful update moves that counter's cache line
+   between cores on every success, and takes a locked add even on
+   single-threaded runs (it bypasses algo::concurrent_execution). Count in
+   a register and add the block's total once with algo::atomic_fetch_add
+   (see src/algo/atomics.h). Per-vertex adds (`live_degree_[v]`) and adds
+   of a count stay allowed. The call is matched across line breaks, since
+   it is often split before `.fetch_add`.
+
 Exit status 0 when clean, 1 with findings (one per line, grep-style).
 """
 
@@ -95,6 +106,13 @@ DYNAMIC_ONE = re.compile(r"schedule\s*\(\s*dynamic\s*,\s*1\s*\)")
 PRAGMA_OPERAND = re.compile(r'_Pragma\s*\(\s*"((?:[^"\\]|\\.)*)"\s*\)')
 # R7: fire-and-forget threads.
 DETACH = re.compile(r"\.\s*detach\s*\(\s*\)")
+# R8: a shared scalar member (no subscript) bumped by one through
+# atomic_ref, matched over a whole file's code so a split call still hits.
+ALGO_DIR = "src/algo"
+SHARED_COUNTER_BUMP = re.compile(
+    r"std::atomic_ref\s*<[^;(){}]*>\s*\(\s*(?:this\s*->\s*)?(?P<name>\w+_)"
+    r"\s*\)\s*\.\s*fetch_(?:add|sub)\s*\(\s*1\b"
+)
 MEMBER_DECL = re.compile(
     r"^\s*(?:mutable\s+)?(?P<type>[\w:][\w:<>,\s*&]*?)\s+(?P<name>\w+)\s*(?:=[^;]*|\{[^;]*\})?;"
 )
@@ -256,6 +274,17 @@ def main(root: Path) -> int:
                     f"{path}:{lineno}: R7: detached thread — every thread "
                     f"must be tracked and joined at shutdown (see "
                     f"serve::Server's connection registry for the pattern)"
+                )
+
+        if rel.startswith(ALGO_DIR + "/"):
+            text = "\n".join(strip_strings(LINE_COMMENT.sub("", raw))
+                             for raw in lines)
+            for m in SHARED_COUNTER_BUMP.finditer(text):
+                lineno = text.count("\n", 0, m.start()) + 1
+                findings.append(
+                    f"{path}:{lineno}: R8: per-update fetch on shared "
+                    f"member '{m.group('name')}' — count in a register and "
+                    f"add the block's total once with algo::atomic_fetch_add"
                 )
 
     for f in findings:
