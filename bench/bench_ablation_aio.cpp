@@ -48,7 +48,8 @@ void sweep(const char* title, const graph::EdgeList& el, RunFn&& run) {
     auto store = bench::open_store(dir, el, bench::default_tile_opts(), dev);
     store::EngineConfig cfg = bench::engine_config_fraction(store, 0.25);
     cfg.overlap_io = m.overlap;
-    cfg.policy = store::CachePolicyKind::kNone;  // isolate the I/O path
+    // No pool, so nothing is cached: isolate the I/O path.
+    cfg.stream_memory_bytes = 2 * cfg.segment_bytes;
 
     const io::DeviceStats start = store.device().stats();
     Timer timer;

@@ -1,8 +1,8 @@
 // Compression ablation — per-codec sizes and throughputs for the v3 tile
 // format (what was the paper's §VIII future-work item is now the production
-// payload encoding). For each graph: bytes under every codec forced across
-// all tiles, bytes under compress_tile's per-tile pick, the pick histogram,
-// and encode/decode throughput of the picked payloads.
+// payload encoding). For each graph: bytes under every writable codec forced
+// across all tiles, bytes under compress_tile's per-tile pick, the pick
+// histogram, and encode/decode throughput of the picked payloads.
 //
 // Writes BENCH_compression_ablation.json; benchmark-style flags are
 // accepted and ignored so CI can pass one command line to every bench.
@@ -12,7 +12,7 @@
 int main(int, char**) {
   using namespace gstore;
   bench::banner("v3 tile-codec ablation",
-                "per-tile codec pick: raw / delta / packed / runs / hybrid");
+                "per-tile codec pick: raw / delta / packed / hybrid");
 
   const unsigned s = bench::scale();
   const unsigned tb = s > 10 ? s - 8 : 2;
@@ -39,7 +39,7 @@ int main(int, char**) {
   std::vector<CaseResult> results;
 
   bench::Table t({"graph", "raw tiles", "picked", "ratio", "delta", "packed",
-                  "runs", "hybrid", "encode MB/s", "decode MB/s"});
+                  "hybrid", "encode MB/s", "decode MB/s"});
   for (auto& c : cases) {
     io::TempDir dir("compress");
     tile::ConvertOptions copt;
@@ -59,10 +59,9 @@ int main(int, char**) {
           reinterpret_cast<const tile::SnbEdge*>(buf.data()),
           reinterpret_cast<const tile::SnbEdge*>(buf.data()) + bytes / 4);
       std::sort(edges.begin(), edges.end());  // what the v3 writer does
-      for (unsigned cc = 0; cc < tile::kTileCodecCount; ++cc)
-        r.forced_bytes[cc] +=
-            tile::encode_tile_as(static_cast<tile::TileCodec>(cc), edges)
-                .size();
+      for (const tile::TileCodec cc : tile::kWritableCodecs)
+        r.forced_bytes[static_cast<unsigned>(cc)] +=
+            tile::encode_tile_as(cc, edges).size();
       Timer te;
       auto payload = tile::compress_tile(edges);
       r.encode_secs += te.seconds();
@@ -81,7 +80,7 @@ int main(int, char**) {
            bench::fmt_bytes(r.picked_bytes),
            bench::fmt(double(r.raw_bytes) / r.picked_bytes) + "x",
            bench::fmt_bytes(r.forced_bytes[1]), bench::fmt_bytes(r.forced_bytes[2]),
-           bench::fmt_bytes(r.forced_bytes[3]), bench::fmt_bytes(r.forced_bytes[4]),
+           bench::fmt_bytes(r.forced_bytes[4]),
            bench::fmt(r.raw_bytes / r.encode_secs / (1 << 20), 0),
            bench::fmt(r.raw_bytes / r.decode_secs / (1 << 20), 0)});
     results.push_back(r);
@@ -89,11 +88,10 @@ int main(int, char**) {
   t.print();
 
   std::printf("\n[codec pick histogram]\n");
-  bench::Table h({"graph", "raw", "delta", "packed", "runs", "hybrid"});
+  bench::Table h({"graph", "raw", "delta", "packed", "hybrid"});
   for (const auto& r : results)
     h.row({r.name, std::to_string(r.picks[0]), std::to_string(r.picks[1]),
-           std::to_string(r.picks[2]), std::to_string(r.picks[3]),
-           std::to_string(r.picks[4])});
+           std::to_string(r.picks[2]), std::to_string(r.picks[4])});
   h.print();
 
   std::FILE* json = std::fopen("BENCH_compression_ablation.json", "w");
@@ -114,15 +112,20 @@ int main(int, char**) {
                    double(r.raw_bytes) / r.picked_bytes,
                    r.raw_bytes / r.encode_secs / (1 << 20),
                    r.raw_bytes / r.decode_secs / (1 << 20));
-      for (unsigned cc = 0; cc < tile::kTileCodecCount; ++cc)
-        std::fprintf(json, "\"%s\": %llu%s", codec_names[cc],
-                     static_cast<unsigned long long>(r.forced_bytes[cc]),
-                     cc + 1 < tile::kTileCodecCount ? ", " : "},\n");
-      std::fprintf(json, "     \"picks\": {");
-      for (unsigned cc = 0; cc < tile::kTileCodecCount; ++cc)
-        std::fprintf(json, "\"%s\": %llu%s", codec_names[cc],
-                     static_cast<unsigned long long>(r.picks[cc]),
-                     cc + 1 < tile::kTileCodecCount ? ", " : "}");
+      // The writable codecs' entries of a per-codec count array.
+      const auto codec_fields = [&](const std::uint64_t* counts) {
+        const char* sep = "";
+        for (const tile::TileCodec cc : tile::kWritableCodecs) {
+          const auto c = static_cast<unsigned>(cc);
+          std::fprintf(json, "%s\"%s\": %llu", sep, codec_names[c],
+                       static_cast<unsigned long long>(counts[c]));
+          sep = ", ";
+        }
+      };
+      codec_fields(r.forced_bytes);
+      std::fprintf(json, "},\n     \"picks\": {");
+      codec_fields(r.picks);
+      std::fprintf(json, "}");
       std::fprintf(json, "}%s\n", i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");

@@ -102,8 +102,7 @@ void part_c() {
   for (const std::uint64_t mem_mb : {2u, 4u, 8u, 16u, 32u}) {
     store::EngineConfig cfg;
     cfg.stream_memory_bytes = mem_mb << 20;
-    cfg.segment_bytes = cfg.stream_memory_bytes / 2;  // segments only
-    cfg.policy = store::CachePolicyKind::kNone;       // isolate streaming
+    cfg.segment_bytes = cfg.stream_memory_bytes / 2;  // no pool: streaming
     algo::TilePageRank pr(algo::PageRankOptions{0.85, 3, 0.0});
     Timer timer;
     store::ScrEngine(store, cfg).run(pr);

@@ -26,8 +26,7 @@ std::pair<std::uint64_t, std::uint64_t> compare(const char* name,
 
   store::EngineConfig base;
   base.stream_memory_bytes = memory;
-  base.segment_bytes = memory / 2;  // two big segments, nothing else
-  base.policy = store::CachePolicyKind::kNone;
+  base.segment_bytes = memory / 2;  // two big segments, no pool
 
   store::EngineConfig scr;
   scr.stream_memory_bytes = memory;

@@ -177,8 +177,6 @@ BENCHMARK_CAPTURE(BM_CodecBlockDecode, delta_hub, tile::TileCodec::kDelta,
                   TileShape::kHub);
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, packed_hub, tile::TileCodec::kPacked,
                   TileShape::kHub);
-BENCHMARK_CAPTURE(BM_CodecBlockDecode, runs_hub, tile::TileCodec::kRuns,
-                  TileShape::kHub);
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, hybrid_hub, tile::TileCodec::kHybrid,
                   TileShape::kHub);
 BENCHMARK_CAPTURE(BM_CodecBlockDecode, hybrid_sparse, tile::TileCodec::kHybrid,

@@ -11,7 +11,8 @@ namespace {
 
 double run_pr(tile::TileStore& store) {
   store::EngineConfig cfg = bench::engine_config_fraction(store, 0.2);
-  cfg.policy = store::CachePolicyKind::kNone;  // isolate raw tier bandwidth
+  // No pool, so nothing is cached: isolate raw tier bandwidth.
+  cfg.stream_memory_bytes = 2 * cfg.segment_bytes;
   algo::TilePageRank pr(algo::PageRankOptions{0.85, 3, 0.0});
   Timer t;
   store::ScrEngine(store, cfg).run(pr);

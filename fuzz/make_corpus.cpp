@@ -138,11 +138,13 @@ void make_tile_seeds(const fs::path& dir) {
 }
 
 // One seed per codec, from a tile shape that codec wins (or at least encodes
-// distinctively), so the fuzzer starts inside every decode loop at once.
+// distinctively), so the fuzzer starts inside every decode loop at once. The
+// writer no longer encodes kRuns, so the committed runs.payload (the
+// clustered shape) is that codec's seed and is not rewritten here.
 void make_codec_seeds(const fs::path& dir) {
   fs::create_directories(dir);
 
-  // Clustered rows with short ascending runs — the kRuns/kDelta sweet spot.
+  // Clustered rows with short ascending runs — the kDelta sweet spot.
   std::vector<tile::SnbEdge> clustered;
   for (std::uint16_t r = 0; r < 24; ++r)
     for (std::uint16_t c = 0; c < 40; ++c)
@@ -174,11 +176,12 @@ void make_codec_seeds(const fs::path& dir) {
                                               "hybrid"};
   const std::vector<tile::SnbEdge>* shapes[tile::kTileCodecCount] = {
       &narrow, &clustered, &narrow, &clustered, &hub};
-  for (unsigned c = 0; c < tile::kTileCodecCount; ++c) {
+  for (const tile::TileCodec codec : tile::kWritableCodecs) {
+    const auto c = static_cast<unsigned>(codec);
     auto edges = *shapes[c];
     std::sort(edges.begin(), edges.end());
     spit(dir / (std::string(names[c]) + ".payload"),
-         tile::encode_tile_as(static_cast<tile::TileCodec>(c), edges));
+         tile::encode_tile_as(codec, edges));
   }
   std::sort(kron.begin(), kron.end());
   spit(dir / "hybrid_kron.payload",

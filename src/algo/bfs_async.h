@@ -6,47 +6,37 @@
 // depth improvements propagate *within* a pass, through as many tiles as the
 // processing order allows. Converges to exact BFS depths in at most as many
 // passes as the synchronous level count, usually far fewer.
+//
+// That is Bellman-Ford SSSP with every edge weight 1, so TileBfsAsync is
+// TileSssp's unit-weight kernel: the same row flags, oracles and, under
+// ScheduleMode::kPriority, delta-stepping by hop count. Depths are float
+// hop counts underneath, exact up to 2^24.
 #pragma once
 
 #include <cstdint>
-#include <limits>
+#include <string>
 #include <vector>
 
-#include "graph/types.h"
-#include "store/algorithm.h"
+#include "algo/sssp.h"
 
 namespace gstore::algo {
 
-class TileBfsAsync final : public store::TileAlgorithm {
+class TileBfsAsync final : public TileSssp {
  public:
-  static constexpr std::int32_t kInf = std::numeric_limits<std::int32_t>::max();
-
-  explicit TileBfsAsync(graph::vid_t root) : root_(root) {}
+  explicit TileBfsAsync(graph::vid_t root) : TileSssp(root, true) {}
 
   std::string name() const override { return "bfs-async"; }
-  void init(const tile::TileStore& store) override;
-  void begin_iteration(std::uint32_t iter) override;
-  void process_tile(const tile::TileView& view) override;
-  bool end_iteration(std::uint32_t iter) override;
-  bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
-  bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
+  // Buckets keep SSSP's default width, 8 hops: nothing to set.
+  void set_delta(float) = delete;
 
   // Depths in BFS convention: -1 for unreachable (after convergence).
-  std::vector<std::int32_t> depths() const;
-  std::uint32_t passes() const noexcept { return passes_; }
-
- private:
-  void process_block(const tile::EdgeBlock& block);
-
-  graph::vid_t root_;
-  bool symmetric_ = true;
-  bool in_edges_ = false;
-  unsigned tile_bits_ = 16;
-  std::uint64_t relaxed_ = 0;
-  std::uint32_t passes_ = 0;
-  std::vector<std::int32_t> depth_;
-  std::vector<std::uint8_t> active_row_cur_;
-  std::vector<std::uint8_t> active_row_next_;
+  std::vector<std::int32_t> depths() const {
+    std::vector<std::int32_t> out;
+    out.reserve(distances().size());
+    for (const float d : distances())
+      out.push_back(d == kInf ? -1 : static_cast<std::int32_t>(d));
+    return out;
+  }
 };
 
 }  // namespace gstore::algo

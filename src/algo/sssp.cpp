@@ -12,7 +12,7 @@ void TileSssp::init(const tile::TileStore& store) {
   symmetric_ = meta.symmetric();
   in_edges_ = meta.in_edges();
   tile_bits_ = meta.tile_bits;
-  GS_CHECK_MSG(root_ < store.vertex_count(), "SSSP root out of range");
+  GS_CHECK_MSG(root_ < store.vertex_count(), name() + " root out of range");
 
   dist_.assign(store.vertex_count(), kInf);
   active_row_cur_.assign(store.grid().p(), 0);
@@ -27,10 +27,15 @@ void TileSssp::init(const tile::TileStore& store) {
 void TileSssp::begin_iteration(std::uint32_t) { relaxed_ = 0; }
 
 void TileSssp::process_tile(const tile::TileView& view) {
-  tile::for_each_block(view,
-                       [this](const tile::EdgeBlock& b) { process_block(b); });
+  if (unit_weight_)
+    tile::for_each_block(
+        view, [this](const tile::EdgeBlock& b) { process_block<true>(b); });
+  else
+    tile::for_each_block(
+        view, [this](const tile::EdgeBlock& b) { process_block<false>(b); });
 }
 
+template <bool kUnitWeight>
 void TileSssp::process_block(const tile::EdgeBlock& block) {
   const graph::vid_t* from = in_edges_ ? block.dst : block.src;
   const graph::vid_t* to = in_edges_ ? block.src : block.dst;
@@ -47,7 +52,8 @@ void TileSssp::process_block(const tile::EdgeBlock& block) {
   float to_best = kInf;
   float from_best = kInf;
   for (std::uint32_t k = 0; k < block.size; ++k) {
-    const float w = edge_weight(block.src[k], block.dst[k]);
+    const float w =
+        kUnitWeight ? 1.0f : edge_weight(block.src[k], block.dst[k]);
     const float df = atomic_load(&dist[from[k]]);
     if (df != kInf && atomic_min(&dist[to[k]], df + w)) {
       ++relaxed;

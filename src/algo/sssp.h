@@ -15,6 +15,9 @@
 // Final distances are bit-identical to grid order: relaxation is a monotone
 // min over left-associated float path sums, so the converged fixpoint does
 // not depend on the order relaxations arrive in.
+//
+// With every weight set to 1 the same kernel is asynchronous BFS
+// (TileBfsAsync, algo/bfs_async.h), and the distances are hop counts.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +39,11 @@ inline float edge_weight(graph::vid_t u, graph::vid_t v) noexcept {
   return 1.0f + static_cast<float>(x % 16);
 }
 
-class TileSssp final : public store::TileAlgorithm {
+class TileSssp : public store::TileAlgorithm {
  public:
   static constexpr float kInf = std::numeric_limits<float>::infinity();
 
-  explicit TileSssp(graph::vid_t root) : root_(root) {}
+  explicit TileSssp(graph::vid_t root) : TileSssp(root, false) {}
 
   std::string name() const override { return "sssp"; }
   void init(const tile::TileStore& store) override;
@@ -65,7 +68,13 @@ class TileSssp final : public store::TileAlgorithm {
 
   const std::vector<float>& distances() const noexcept { return dist_; }
 
+ protected:
+  // `unit_weight`: every edge weighs 1 instead of edge_weight(u, v).
+  TileSssp(graph::vid_t root, bool unit_weight)
+      : root_(root), unit_weight_(unit_weight) {}
+
  private:
+  template <bool kUnitWeight>
   void process_block(const tile::EdgeBlock& block);
   // Marks tile row `row` active with pending distance `best` (kInf: none).
   void publish(std::uint32_t row, float best);
@@ -74,6 +83,7 @@ class TileSssp final : public store::TileAlgorithm {
   graph::vid_t root_;
   bool symmetric_ = true;
   bool in_edges_ = false;
+  bool unit_weight_;
   unsigned tile_bits_ = 16;
   float delta_ = 8.0f;
   std::uint64_t relaxed_ = 0;

@@ -50,10 +50,11 @@ store::EngineConfig engine_config(const SchedulerConfig& sc) {
 
 struct SharedScheduler::Runner {
   Runner(StoreSnapshot& snapshot, const SchedulerConfig& sc,
-         const AdmitFn& admit, const DoneFn& done)
+         std::size_t max_gang, const AdmitFn& admit, const DoneFn& done)
       : store(snapshot.store()),
         grid(store.grid()),
         config(engine_config(sc)),
+        max_gang(max_gang),
         admit(admit),
         done(done),
         overlay(store.overlay()),
@@ -255,16 +256,17 @@ struct SharedScheduler::Runner {
     ++stats.iterations;
   }
 
-  // Round boundary: reap cancellations, then offer free capacity to the
-  // admit callback. Returns false when the gang is empty (run() ends).
+  // Round boundary: reap cancellations, then offer free capacity to a gang
+  // that still has jobs. Returns false when the gang is empty (run() ends):
+  // the next queued jobs form a new gang.
   bool boundary() {
     for_bits(occupied, [&](std::size_t k) {
       if (slots[k].job.cancelled && slots[k].job.cancelled())
         finish_slot(k, JobState::kCancelled, {});
     });
-    if (admit && active_count() < kMaxGang) {
-      std::vector<GangJob> joined = admit(kMaxGang - active_count());
-      GS_CHECK_MSG(joined.size() <= kMaxGang - active_count(),
+    if (admit && occupied != 0 && active_count() < max_gang) {
+      std::vector<GangJob> joined = admit(max_gang - active_count());
+      GS_CHECK_MSG(joined.size() <= max_gang - active_count(),
                    "admit callback returned more jobs than offered slots");
       for (GangJob& j : joined) add_job(std::move(j));
     }
@@ -273,7 +275,7 @@ struct SharedScheduler::Runner {
 
   store::EngineStats run(std::vector<GangJob> initial) {
     Timer total;
-    GS_CHECK_MSG(initial.size() <= kMaxGang, "gang larger than kMaxGang");
+    GS_CHECK_MSG(initial.size() <= max_gang, "gang larger than max_gang");
     for (GangJob& j : initial) add_job(std::move(j));
     try {
       while (boundary()) run_round();
@@ -295,6 +297,7 @@ struct SharedScheduler::Runner {
   tile::TileStore& store;
   const tile::Grid& grid;
   const store::EngineConfig config;
+  const std::size_t max_gang;
   const AdmitFn& admit;
   const DoneFn& done;
   const tile::TileOverlay* overlay = nullptr;
@@ -315,15 +318,18 @@ struct SharedScheduler::Runner {
 };
 
 SharedScheduler::SharedScheduler(StoreSnapshot& snapshot,
-                                 SchedulerConfig config)
-    : snapshot_(snapshot), config_(config) {}
+                                 SchedulerConfig config, std::size_t max_gang)
+    : snapshot_(snapshot), config_(config), max_gang_(max_gang) {
+  GS_CHECK_MSG(max_gang >= 1 && max_gang <= kMaxGang,
+               "max_gang must be in [1, 64]");
+}
 
 SharedScheduler::~SharedScheduler() = default;
 
 store::EngineStats SharedScheduler::run(std::vector<GangJob> initial,
                                         const AdmitFn& admit,
                                         const DoneFn& done) {
-  Runner runner(snapshot_, config_, admit, done);
+  Runner runner(snapshot_, config_, max_gang_, admit, done);
   return runner.run(std::move(initial));
 }
 

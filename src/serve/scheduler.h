@@ -12,10 +12,11 @@
 //            is dispatched to its subscribers while the device streams.
 //   SLIDE  — each remaining tile's bytes are read once through the async
 //            engine (double-buffered, coalesced, with ScrEngine's whole-tile
-//            retry budget) and the decoded payload is dispatched to every
-//            subscribed job's kernel before the segment is reused. This is
-//            the shared-I/O dedup: 32 BFS jobs over the same graph cost ~1×
-//            the bytes, not 32×.
+//            retry budget) and the tile's view is handed to every subscribed
+//            job's process_tile before the segment is reused. The fetch is
+//            shared, the decode is not: each job's for_each_block decodes
+//            the payload itself. This is the shared-I/O dedup: 32 BFS jobs
+//            over the same graph cost ~1× the bytes, not 32×.
 //   CACHE  — processed tiles are offered to the SHARED cache pool under a
 //            fairness policy: the pool budget is split into per-job quotas
 //            (budget / active jobs) and a tile is admitted only while some
@@ -27,12 +28,13 @@
 //            round boundary; for BFS and SSSP that is every tile
 //            (SharedScheduler's analyze_cache explains why).
 //
-// Jobs join at round boundaries (the admit callback), finish independently
-// (their end_iteration() returns false), and are cancelled at round
-// boundaries. Per-job statistics are job-scoped (JobStats); the gang-level
-// I/O counters are the store::EngineStats the pass fills, where a pooled
-// tile counts once per round however many jobs it served. Zero-copy is
-// preserved: cached tiles pin segment slices.
+// Jobs join at round boundaries (the admit callback) while the gang holds
+// at least one and fewer than max_gang jobs, finish independently (their
+// end_iteration() returns false), and are cancelled at round boundaries.
+// Per-job statistics are job-scoped (JobStats); the gang-level I/O counters
+// are the store::EngineStats the pass fills, where a pooled tile counts once
+// per round however many jobs it served. Zero-copy is preserved: cached
+// tiles pin segment slices.
 //
 // Threading: run() is called from ONE control thread (the JobManager's
 // scheduler thread); kernels fan out over OpenMP inside a round exactly
@@ -77,9 +79,9 @@ class SharedScheduler {
   // At most this many co-scheduled jobs (subscriber sets are 64-bit masks).
   static constexpr std::size_t kMaxGang = 64;
 
-  // Offers free gang capacity to the caller at each round boundary; the
-  // returned jobs (at most `free_slots`) join the gang against the SAME
-  // snapshot. May be null.
+  // Offers free gang capacity (max_gang minus the active jobs) to the caller
+  // at each round boundary; the returned jobs (at most `free_slots`) join
+  // the gang against the SAME snapshot. May be null.
   using AdmitFn = std::function<std::vector<GangJob>(std::size_t free_slots)>;
   // Reports a job leaving the gang: state is kDone, kFailed (error holds
   // why) or kCancelled. Called from the control thread.
@@ -87,7 +89,9 @@ class SharedScheduler {
                                     const JobStats& stats,
                                     const std::string& error)>;
 
-  SharedScheduler(StoreSnapshot& snapshot, SchedulerConfig config);
+  // A gang holds at most `max_gang` (<= kMaxGang) jobs at once.
+  SharedScheduler(StoreSnapshot& snapshot, SchedulerConfig config,
+                  std::size_t max_gang = kMaxGang);
   ~SharedScheduler();
 
   SharedScheduler(const SharedScheduler&) = delete;
@@ -105,6 +109,7 @@ class SharedScheduler {
   struct Runner;
   StoreSnapshot& snapshot_;
   SchedulerConfig config_;
+  std::size_t max_gang_;
 };
 
 }  // namespace gstore::serve

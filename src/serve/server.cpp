@@ -432,7 +432,7 @@ void JobManager::run_gang(std::vector<JobRecord*> batch) {
     rec->algo.reset();
   };
 
-  SharedScheduler scheduler(*snap, options_.scheduler);
+  SharedScheduler scheduler(*snap, options_.scheduler, options_.max_gang);
   const store::EngineStats gs = scheduler.run(std::move(initial), admit, done);
 
   MutexLock lock(mu_);

@@ -7,13 +7,6 @@ namespace gstore::store {
 
 namespace {
 
-class NonePolicy final : public CachingPolicy {
- public:
-  void admit(CachePool&, const Segment&, const tile::Grid&,
-             const TileAlgorithm&) override {}
-  void analyze(CachePool&, const tile::Grid&, const TileAlgorithm&) override {}
-};
-
 class LruPolicy final : public CachingPolicy {
  public:
   // Caches everything; recency decides evictions, one tile at a time.
@@ -70,7 +63,6 @@ std::unique_ptr<CachingPolicy> CachingPolicy::make(CachePolicyKind kind) {
   switch (kind) {
     case CachePolicyKind::kProactive: return std::make_unique<ProactivePolicy>();
     case CachePolicyKind::kLru: return std::make_unique<LruPolicy>();
-    case CachePolicyKind::kNone: return std::make_unique<NonePolicy>();
   }
   return std::make_unique<ProactivePolicy>();
 }

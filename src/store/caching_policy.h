@@ -3,9 +3,10 @@
 // kProactive is the paper's contribution (§VI-C): cache exactly the tiles the
 // algorithm's metadata says might be needed next iteration, evicting entries
 // the oracle has since ruled out. kLru is the FlashGraph-style baseline the
-// paper argues against; kNone is pure streaming (X-Stream-style, and the
-// "base policy" of Fig 13): the pool stays empty, so REWIND has nothing to
-// process and every needed tile is read.
+// paper argues against. Pure streaming (X-Stream-style, and the "base
+// policy" of Fig 13) is not a policy but a zero pool: stream memory of two
+// segments leaves the pool no bytes, so REWIND has nothing to process and
+// every needed tile is read.
 //
 // Policies keep no state between calls: everything they decide is a
 // function of the pool, the segment and the algorithm's oracle.
@@ -21,7 +22,7 @@
 
 namespace gstore::store {
 
-enum class CachePolicyKind { kProactive, kLru, kNone };
+enum class CachePolicyKind { kProactive, kLru };
 
 class CachingPolicy {
  public:
@@ -35,7 +36,7 @@ class CachingPolicy {
                      const tile::Grid& grid, const TileAlgorithm& algo) = 0;
 
   // Iteration-boundary analysis: drop entries the oracle now rules out
-  // (proactive) or do nothing (LRU/None).
+  // (proactive) or do nothing (LRU).
   virtual void analyze(CachePool& pool, const tile::Grid& grid,
                        const TileAlgorithm& algo) = 0;
 

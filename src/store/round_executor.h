@@ -6,9 +6,9 @@
 // A caller hands run_round() one round's tiles in ascending layout order;
 // three hooks (RoundHooks) carry everything caller-specific. The pass:
 //   plan   — split the tiles against a snapshot of the cache pool into
-//            cached, fetched and overlay-only ones. With caching off (the
-//            kNone policy, or a zero pool) the pool is empty, so every tile
-//            with base bytes is fetched.
+//            cached, fetched and overlay-only ones. With caching off (a
+//            zero pool) the pool is empty, so every tile with base bytes is
+//            fetched.
 //   REWIND — submit both segments' first SLIDE reads, then process the
 //            cached tiles from their pinned pool bytes while the device
 //            streams.

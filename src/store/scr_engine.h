@@ -44,6 +44,8 @@ namespace gstore::store {
 enum class ScheduleMode { kGrid, kPriority };
 
 struct EngineConfig {
+  // Two segments and the cache pool. Twice segment_bytes leaves the pool no
+  // bytes, which turns caching off.
   std::uint64_t stream_memory_bytes = 64ull << 20;
   std::uint64_t segment_bytes = 8ull << 20;
   CachePolicyKind policy = CachePolicyKind::kProactive;

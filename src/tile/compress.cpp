@@ -220,11 +220,9 @@ std::vector<std::uint8_t> encode_packed(std::span<const SnbEdge> edges) {
 // Scans row [i, j) (one source) and calls fn(gap, len) per (gap, run) item:
 // the item covers `len` consecutive destinations starting at prev_end + gap
 // (mod 2^16), where prev_end is one past the previous item (0 at row start).
-// Returns the item count.
 template <typename Fn>
-std::uint32_t scan_row_items(std::span<const SnbEdge> edges, std::size_t i,
-                             std::size_t j, Fn&& fn) {
-  std::uint32_t items = 0;
+void scan_row_items(std::span<const SnbEdge> edges, std::size_t i,
+                    std::size_t j, Fn&& fn) {
   std::uint32_t prev_end = 0;
   std::size_t k = i;
   while (k < j) {
@@ -236,34 +234,7 @@ std::uint32_t scan_row_items(std::span<const SnbEdge> edges, std::size_t i,
     fn((d - prev_end) & 0xFFFFu, len);
     prev_end = d + static_cast<std::uint32_t>(len);
     k += len;
-    ++items;
   }
-  return items;
-}
-
-std::vector<std::uint8_t> encode_runs(std::span<const SnbEdge> edges) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kTilePayloadHeaderBytes + edges.size() * 2 + 16);
-  append_header(out, TileCodec::kRuns, 0, 0, edges.size());
-  std::uint16_t prev_src = 0;
-  std::size_t i = 0;
-  while (i < edges.size()) {
-    const std::uint16_t s = edges[i].src16;
-    std::size_t j = i;
-    while (j < edges.size() && edges[j].src16 == s) ++j;
-    const std::uint32_t items =
-        scan_row_items(edges, i, j, [](std::uint32_t, std::uint64_t) {});
-    put_varint(out, static_cast<std::uint16_t>(s - prev_src));
-    put_varint(out, items);
-    scan_row_items(edges, i, j, [&](std::uint32_t gap, std::uint64_t len) {
-      put_varint(out, gap);
-      put_varint(out, static_cast<std::uint32_t>(len - 1));
-    });
-    prev_src = s;
-    i = j;
-  }
-  pad_payload(out);
-  return out;
 }
 
 std::vector<std::uint8_t> encode_hybrid(std::span<const SnbEdge> edges) {
@@ -390,7 +361,7 @@ std::vector<std::uint8_t> encode_tile_as(TileCodec codec,
     case TileCodec::kPacked:
       return encode_packed(edges);
     case TileCodec::kRuns:
-      return encode_runs(edges);
+      throw InvalidArgument("kRuns tiles are decode-only; encode kHybrid");
     case TileCodec::kHybrid:
       return encode_hybrid(edges);
   }
@@ -398,12 +369,12 @@ std::vector<std::uint8_t> encode_tile_as(TileCodec codec,
 }
 
 std::vector<std::uint8_t> compress_tile(std::span<const SnbEdge> edges) {
-  std::vector<std::uint8_t> best = encode_raw(edges);
-  if (edges.empty()) return best;
-  for (const TileCodec c : {TileCodec::kDelta, TileCodec::kPacked,
-                            TileCodec::kRuns, TileCodec::kHybrid}) {
+  if (edges.empty()) return encode_raw(edges);
+  std::vector<std::uint8_t> best;
+  for (const TileCodec c : kWritableCodecs) {
     std::vector<std::uint8_t> candidate = encode_tile_as(c, edges);
-    if (candidate.size() < best.size()) best = std::move(candidate);
+    if (best.empty() || candidate.size() < best.size())
+      best = std::move(candidate);
   }
   return best;
 }

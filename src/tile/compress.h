@@ -15,6 +15,9 @@
 //             Decodes with flat widening loops (SIMD-friendly).
 //   kRuns   — row/interval encoding: per source row, (gap, run_len) items
 //             over sorted destinations; consecutive dsts collapse to one item.
+//             Decode-only: kHybrid writes the same gap/run rows, and its
+//             row header is larger only on rows of 64+ edges, by a byte or
+//             two, so the writer no longer encodes kRuns.
 //   kHybrid — degree-aware: per row, either gap/run items (sparse rows) or a
 //             bit-packed dst vector at dst_bits (hub rows), whichever is
 //             smaller for that row.
@@ -44,6 +47,9 @@ enum class TileCodec : std::uint8_t {
   kHybrid = 4,
 };
 inline constexpr std::uint8_t kTileCodecCount = 5;
+// The codecs compress_tile() picks among, in codec-id order.
+inline constexpr TileCodec kWritableCodecs[] = {
+    TileCodec::kRaw, TileCodec::kDelta, TileCodec::kPacked, TileCodec::kHybrid};
 
 // Fixed payload prologue. Wire struct (GL6-tracked): fields must pass
 // through parse_tile_payload()'s range checks before any arithmetic.
@@ -81,13 +87,14 @@ struct TileCodecInfo {
 TileCodecInfo parse_tile_payload(std::span<const std::uint8_t> payload,
                                  std::int64_t expect_edges = -1);
 
-// Compresses one tile's edges: encodes with every codec and returns the
-// smallest payload (ties break toward the lower codec id, so incompressible
-// tiles fall back to kRaw). Preserves edge order; callers that want the best
-// ratio sort first. An empty span yields an 8-byte kRaw header.
+// Compresses one tile's edges: encodes with every writable codec and returns
+// the smallest payload (ties break toward the lower codec id, so
+// incompressible tiles fall back to kRaw). Preserves edge order; callers that
+// want the best ratio sort first. An empty span yields an 8-byte kRaw header.
 std::vector<std::uint8_t> compress_tile(std::span<const SnbEdge> edges);
 
-// Encodes with one specific codec (benchmarks, fuzz seeds, tests).
+// Encodes with one specific writable codec (benchmarks, fuzz seeds, tests);
+// throws InvalidArgument for kRuns.
 std::vector<std::uint8_t> encode_tile_as(TileCodec codec,
                                          std::span<const SnbEdge> edges);
 

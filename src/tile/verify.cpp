@@ -140,9 +140,11 @@ VerifyReport verify_store(const std::string& base_path,
   }
 
   // Degree cross-check (optional file). The .deg file records edge-list
-  // degrees, which include self loops the converter drops, so tile-derived
-  // degrees are a lower bound. In-edge stores record out-degrees while the
-  // tiles yield in-degrees — no comparison is possible there.
+  // degrees. Neither it nor the tiles count self loops today, but stores
+  // written before EdgeList::degrees skipped them counted them in .deg, so
+  // tile-derived degrees are checked as a lower bound. In-edge stores record
+  // out-degrees while the tiles yield in-degrees — no comparison is possible
+  // there.
   const std::string live_base = TileStore::resolve(base_path);
   if (report.ok && io::File::exists(TileStore::deg_path(live_base))) {
     const std::uint64_t deg_bytes =

@@ -61,7 +61,6 @@ const Scenario kScenarios[] = {
     {"KronUndTiny", kron_und, 5, 16, store::CachePolicyKind::kProactive},
     {"KronUndBig", kron_und, 8, 64, store::CachePolicyKind::kProactive},
     {"KronUndLru", kron_und, 5, 16, store::CachePolicyKind::kLru},
-    {"KronUndNoCache", kron_und, 5, 16, store::CachePolicyKind::kNone},
     {"KronDir", kron_dir, 5, 16, store::CachePolicyKind::kProactive},
     {"TwitterLikeDir", twitterish, 6, 32, store::CachePolicyKind::kProactive},
     {"UniformUnd", uniform_und, 5, 16, store::CachePolicyKind::kProactive},
@@ -476,10 +475,10 @@ TEST(TileBfsAsync, FewerPassesThanLevelsOnPath) {
   o.tile_bits = 4;
   auto store = gstore::testing::make_store(dir, graph::path(200), o);
   TileBfsAsync bfs(0);
-  store::ScrEngine(store).run(bfs);
+  const store::EngineStats stats = store::ScrEngine(store).run(bfs);
   const auto d = bfs.depths();
   for (graph::vid_t v = 0; v < 200; ++v) EXPECT_EQ(d[v], static_cast<int>(v));
-  EXPECT_LT(bfs.passes(), 100u);  // sync BFS needs 200 iterations
+  EXPECT_LT(stats.iterations, 100u);  // sync BFS needs 200 iterations
 }
 
 TEST(TileBfsAsync, DirectedFollowsDirection) {
@@ -496,6 +495,30 @@ TEST(TileBfsAsync, DirectedFollowsDirection) {
   EXPECT_EQ(d[1], 1);
   EXPECT_EQ(d[2], 2);
   EXPECT_EQ(d[3], -1);
+}
+
+// Priority mode delta-steps by hop count through SSSP's oracle; the depths
+// stay exact. From the middle of a 20 x 30 grid the directed store reaches
+// one quadrant, and both reach far enough to fill several buckets.
+TEST(TileBfsAsync, PriorityScheduleMatchesReference) {
+  constexpr vid_t kRoot = 10 * 30 + 15;
+  for (const GraphKind kind : {GraphKind::kDirected, GraphKind::kUndirected}) {
+    io::TempDir dir;
+    const EdgeList el = graph::grid(20, 30, kind);
+    tile::ConvertOptions o;
+    o.tile_bits = 4;
+    auto store = gstore::testing::make_store(dir, el, o);
+    store::EngineConfig cfg;
+    cfg.schedule = store::ScheduleMode::kPriority;
+    TileBfsAsync bfs(kRoot);
+    const store::EngineStats stats = store::ScrEngine(store, cfg).run(bfs);
+    EXPECT_GT(stats.max_bucket, 0u);
+    const auto want = ref_bfs(el, kRoot);
+    const auto got = bfs.depths();
+    for (graph::vid_t v = 0; v < el.vertex_count(); ++v)
+      ASSERT_EQ(got[v], want[v]) << "vertex " << v << " directed "
+                                 << (kind == GraphKind::kDirected);
+  }
 }
 
 class KCoreTest : public ::testing::TestWithParam<graph::degree_t> {};

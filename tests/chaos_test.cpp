@@ -282,7 +282,7 @@ TEST(Chaos, SyncBackendHonorsTheSameRetryContract) {
   auto faulty = tile::TileStore::open(dir.file("g"), dev);
   EngineConfig cfg = tiny_memory();
   cfg.overlap_io = false;
-  cfg.policy = CachePolicyKind::kNone;
+  cfg.stream_memory_bytes = 2 * cfg.segment_bytes;
   algo::TileWcc a, b;
   ScrEngine(clean, cfg).run(a);
   const EngineStats s = ScrEngine(faulty, cfg).run(b);

@@ -138,7 +138,7 @@ TEST(ScrEngine, NoCacheBaselineRereadsEveryIteration) {
   io::TempDir dir;
   auto store = kron_store(dir, 8, 4);
   EngineConfig c = tiny_memory();
-  c.policy = CachePolicyKind::kNone;
+  c.stream_memory_bytes = 2 * c.segment_bytes;  // no pool: no caching
   RecordingAlgo algo(3);
   ScrEngine engine(store, c);
   const auto stats = engine.run(algo);
@@ -155,7 +155,7 @@ TEST(ScrEngine, CacheReducesIoVsNoCache) {
   base.segment_bytes = 4 << 10;
 
   EngineConfig nocache = base;
-  nocache.policy = CachePolicyKind::kNone;
+  nocache.stream_memory_bytes = 2 * nocache.segment_bytes;
 
   RecordingAlgo a1(4), a2(4);
   const auto with_cache = ScrEngine(store, base).run(a1);
@@ -330,7 +330,7 @@ TEST(ScrEngine, FatTupleStoreStreamsCorrectByteCounts) {
   o.snb = false;
   auto store = gstore::testing::make_store(dir, el, o);
   EngineConfig cfg = tiny_memory();
-  cfg.policy = CachePolicyKind::kNone;
+  cfg.stream_memory_bytes = 2 * cfg.segment_bytes;
   RecordingAlgo algo(1);
   const auto stats = ScrEngine(store, cfg).run(algo);
   EXPECT_EQ(stats.bytes_read, store.edge_count() * 8);
@@ -573,7 +573,7 @@ TEST(ScrEngine, PriorityRoundRunsItsTilesInLayoutOrder) {
   // the processing order. Four rows per bucket, so a round spans several
   // tile groups and layout order differs from row-major order.
   EngineConfig cfg = priority_config();
-  cfg.policy = CachePolicyKind::kNone;
+  cfg.stream_memory_bytes = 2 * cfg.segment_bytes;
   const OneThread one_thread;
   RowPriorityAlgo algo(/*offset=*/0, /*rows_per_bucket=*/4);
   ScrEngine(store, cfg).run(algo);

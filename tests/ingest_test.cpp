@@ -861,17 +861,17 @@ TEST(IncrementalRecompute, EmptyDeltaFallsBackToColdRun) {
   EXPECT_EQ(sssp.distances(), ref.distances());
 }
 
-// Satellite: codec-aware compaction. A tile whose base payload encodes as
-// row runs must be re-encoded under whichever codec wins for the *merged*
-// edge set once a dense scattered overlay is folded in — compaction always
-// re-runs codec selection, it never keeps the old tile's choice.
-TEST(Compaction, RunsFriendlyTileFlipsCodecAfterDenseOverlayMerge) {
+// Codec-aware compaction. A tile whose base payload bit-packs best must be
+// re-encoded under whichever codec wins for the *merged* edge set once a
+// scattered overlay is folded in — compaction always re-runs codec
+// selection, it never keeps the old tile's choice.
+TEST(Compaction, PackedTileFlipsCodecAfterScatteredOverlayMerge) {
   io::TempDir dir;
-  // One 32×32 tile. Base rows are complete contiguous ranges — the runs
-  // codec encodes each row in a couple of bytes and wins outright.
+  // One 32×32 tile with one edge per row, (s, 7s mod 32), self loops left
+  // out: two 5-bit planes (48 B) beat a hybrid row of 3 bytes each (100 B).
   std::vector<graph::Edge> base_edges;
-  for (graph::vid_t s = 0; s < 8; ++s)
-    for (graph::vid_t d = 8; d < 32; ++d) base_edges.push_back({s, d});
+  for (graph::vid_t s = 0; s < 32; ++s)
+    if ((7 * s) % 32 != s) base_edges.push_back({s, (7 * s) % 32});
   graph::EdgeList base(std::move(base_edges), 32, graph::GraphKind::kDirected);
   tile::ConvertOptions copt;
   copt.tile_bits = 5;
@@ -879,11 +879,11 @@ TEST(Compaction, RunsFriendlyTileFlipsCodecAfterDenseOverlayMerge) {
 
   ingest::EdgeIngestor ingestor(dir.file("g"));
   const auto before = codec_of(ingestor.store(), 0);
-  EXPECT_TRUE(before == tile::TileCodec::kRuns ||
-              before == tile::TileCodec::kHybrid)
-      << "base tile should be runs-friendly, got " << int(before);
+  EXPECT_EQ(before, tile::TileCodec::kPacked) << int(before);
 
-  // Scatter pseudo-random edges over the whole tile: runs break apart.
+  // Scatter pseudo-random edges over the whole tile: the merged rows hold
+  // about ten edges each, which hybrid rows hold in fewer bytes (284 B
+  // against 400 B packed).
   std::vector<graph::Edge> scattered;
   for (std::uint32_t k = 0; k < 300; ++k) {
     const auto s = static_cast<graph::vid_t>((k * 17 + 5) % 32);
@@ -896,7 +896,7 @@ TEST(Compaction, RunsFriendlyTileFlipsCodecAfterDenseOverlayMerge) {
   const auto after = codec_of(ingestor.store(), 0);
   EXPECT_NE(after, before)
       << "compaction kept codec " << int(before)
-      << " for a tile whose merged payload is no longer runs-friendly";
+      << " for a tile whose merged payload another codec encodes smaller";
 
   // And the re-encoded tile still decodes to exactly base ∪ delta.
   auto union_el = base.edges();

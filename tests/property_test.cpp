@@ -63,7 +63,12 @@ TEST_P(RandomConfigTest, ResultsInvariantToEngineConfig) {
     store::EngineConfig cfg;
     cfg.stream_memory_bytes = 4096 + rng.next_below(512 << 10);
     cfg.segment_bytes = 512 + rng.next_below(64 << 10);
-    cfg.policy = static_cast<store::CachePolicyKind>(rng.next_below(3));
+    // The third draw caches nothing: two segments fill the stream memory.
+    const std::uint64_t policy = rng.next_below(3);
+    if (policy == 2)
+      cfg.stream_memory_bytes = 2 * cfg.segment_bytes;
+    else
+      cfg.policy = static_cast<store::CachePolicyKind>(policy);
     cfg.overlap_io = rng.next_below(2) == 0;
 
     algo::TileBfs bfs(0);
@@ -184,10 +189,11 @@ std::vector<tile::SnbEdge> kron_rows(Xoshiro256& rng, unsigned tb) {
   return edges;
 }
 
-// Every codec — forced, not just whatever compress_tile picked — must push
-// the same edge multiset through the block path, the per-edge path, and an
-// overlay splice, at every tile width the grid supports, for two shapes:
-// uniform scatter and Kron-like short rows.
+// Every writable codec — forced, not just whatever compress_tile picked —
+// must push the same edge multiset through the block path, the per-edge
+// path, and an overlay splice, at every tile width the grid supports, for
+// two shapes: uniform scatter and Kron-like short rows. kRuns payloads are
+// read, not written: tile_test and the fuzz corpus hold them.
 TEST(PropertyEdgeBlock, EveryCodecMatchesRawBlocksAcrossTileBits) {
   Xoshiro256 rng(2026);
   Xoshiro256 kron_rng(2027);
@@ -217,8 +223,8 @@ TEST(PropertyEdgeBlock, EveryCodecMatchesRawBlocksAcrossTileBits) {
       for (const auto& e : extra)
         overlay_want.insert({src_base + e.src16, dst_base + e.dst16});
 
-      for (unsigned c = 0; c < tile::kTileCodecCount; ++c) {
-        const auto codec = static_cast<tile::TileCodec>(c);
+      for (const tile::TileCodec codec : tile::kWritableCodecs) {
+        const unsigned c = static_cast<unsigned>(codec);
         const auto payload = tile::encode_tile_as(codec, edges);
         const tile::TileCodecInfo info = tile::parse_tile_payload(payload);
         ASSERT_EQ(info.codec, codec);
@@ -433,8 +439,8 @@ TEST(PropertyWcc, MatchesReferenceAcrossFormatsTileBitsAndOverlay) {
       ASSERT_EQ(overlaid.labels(), want_overlaid) << "overlay";
     }
   }
-  // The v3 stores reach every codec the encoder picks: raw, delta, packed
-  // and hybrid (it picks runs for no tile; see ROADMAP item 7).
+  // The v3 stores reach every codec the encoder writes: raw, delta, packed
+  // and hybrid.
   const auto codecs_used = std::count_if(
       std::begin(codec_tiles), std::end(codec_tiles),
       [](std::uint64_t tiles) { return tiles > 0; });
@@ -500,8 +506,9 @@ std::vector<std::pair<std::string, store::EngineConfig>> pagerank_paths(
   std::vector<std::pair<std::string, store::EngineConfig>> out;
   store::EngineConfig whole;
   out.emplace_back("grid, whole pool", whole);
-  whole.policy = store::CachePolicyKind::kNone;
-  out.emplace_back("grid, no caching", whole);
+  store::EngineConfig none;
+  none.stream_memory_bytes = 2 * none.segment_bytes;
+  out.emplace_back("grid, no caching", none);
   auto half = gstore::testing::half_cached(store);
   half.schedule = store::ScheduleMode::kPriority;
   out.emplace_back("priority, half pool", half);

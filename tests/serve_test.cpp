@@ -255,6 +255,86 @@ TEST(JobManager, MixedGangBitIdenticalToSerial) {
   manager.stop(/*drain=*/true);
 }
 
+// The widest gang the 64-bit subscriber masks allow: 64 mixed jobs seeded
+// together share one gang, and every digest matches its serial run.
+TEST(JobManager, SixtyFourWayMixedGangMatchesSerial) {
+  io::TempDir dir;
+  const std::string base = convert(dir, multi_tile_graph());
+  ingest::EdgeIngestor ingestor(base);
+
+  constexpr JobKind kKinds[] = {JobKind::kBfs,      JobKind::kSssp,
+                                JobKind::kBfs,      JobKind::kWcc,
+                                JobKind::kPageRank, JobKind::kNeighbors};
+  std::vector<JobSpec> specs;
+  for (std::size_t k = 0; k < serve::SharedScheduler::kMaxGang; ++k) {
+    JobSpec s;
+    s.kind = kKinds[k % std::size(kKinds)];
+    s.vertex = static_cast<graph::vid_t>(
+        (k * 7919) % ingestor.store().vertex_count());
+    s.max_iterations = 5;
+    specs.push_back(s);
+  }
+  std::vector<Json> serial;
+  for (const JobSpec& s : specs)
+    serial.push_back(serial_result(ingestor.store(), s));
+
+  ManagerOptions mo;
+  mo.max_gang = serve::SharedScheduler::kMaxGang;
+  JobManager manager(ingestor, mo);
+  std::vector<std::uint64_t> ids;
+  for (const JobSpec& s : specs) {
+    Json j = s.to_json();
+    ids.push_back(manager.submit(j));
+  }
+  manager.start();
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ASSERT_TRUE(manager.wait(ids[k], std::chrono::milliseconds(120000)));
+    const Json r = manager.result(ids[k]);
+    ASSERT_EQ(r.at("state").as_string(), "done")
+        << "job " << k << ": " << r.dump();
+    EXPECT_EQ(digest_of(r.at("result")), digest_of(serial[k]))
+        << "job " << k << " (" << to_string(specs[k].kind)
+        << ") diverged from the serial engine";
+  }
+  manager.stop(/*drain=*/true);
+  EXPECT_EQ(manager.stats().at("gangs").as_uint(), 1u);
+}
+
+// max_gang bounds mid-gang admission too, not only a gang's seed: with
+// max_gang = 1, jobs queued while a long PageRank runs wait for it to end,
+// and each runs as a gang of its own.
+TEST(JobManager, MaxGangBoundsMidGangAdmission) {
+  io::TempDir dir;
+  const std::string base = convert(dir, single_tile_graph());
+  ingest::EdgeIngestor ingestor(base);
+  ManagerOptions mo;
+  mo.max_gang = 1;
+  JobManager manager(ingestor, mo);
+  manager.start();
+
+  JobSpec pr_spec;
+  pr_spec.kind = JobKind::kPageRank;
+  pr_spec.max_iterations = 200;
+  Json pr = pr_spec.to_json();
+  const std::uint64_t pr_id = manager.submit(pr);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (manager.status(pr_id).at("state").as_string() == "queued" &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::vector<std::uint64_t> ids = {pr_id};
+  for (graph::vid_t root : {0u, 1u, 2u}) {
+    Json j = bfs_json(root);
+    ids.push_back(manager.submit(j));
+  }
+  for (const std::uint64_t id : ids)
+    ASSERT_TRUE(manager.wait(id, std::chrono::milliseconds(60000)));
+  manager.stop(/*drain=*/true);
+  const Json s = manager.stats();
+  EXPECT_EQ(s.at("jobs_done").as_uint(), 4u);
+  EXPECT_EQ(s.at("gangs").as_uint(), 4u);
+}
+
 TEST(JobManager, SharedFetchDedup32WayBfs) {
   io::TempDir dir;
   const std::string base = convert(dir, multi_tile_graph());

@@ -279,15 +279,6 @@ Segment segment_of(std::initializer_list<std::uint64_t> tiles,
   return seg;
 }
 
-TEST(CachingPolicy, NoneNeverCaches) {
-  auto p = CachingPolicy::make(CachePolicyKind::kNone);
-  StubAlgo algo;
-  tile::Grid grid(16 * 4, false, 4, 1);
-  CachePool pool(100);
-  p->admit(pool, segment_of({0, 1}, 10), grid, algo);
-  EXPECT_EQ(pool.tile_count(), 0u);
-}
-
 TEST(CachingPolicy, LruAlwaysCachesAndEvicts) {
   auto p = CachingPolicy::make(CachePolicyKind::kLru);
   StubAlgo algo;

@@ -426,35 +426,71 @@ TEST(Compress, RejectsGarbage) {
   EXPECT_THROW(decompress_tile({}), FormatError);
 }
 
+// A payload around a hand-written body: header, body, zero padding.
+std::vector<std::uint8_t> hand_payload(TileCodec codec, unsigned dst_bits,
+                                       std::uint32_t edges,
+                                       const std::vector<std::uint8_t>& body) {
+  TilePayloadHeader h;
+  h.codec = static_cast<std::uint8_t>(codec);
+  h.dst_bits = static_cast<std::uint8_t>(dst_bits);
+  h.edge_count = edges;
+  std::vector<std::uint8_t> out(sizeof(h) + (body.size() + 3) / 4 * 4, 0);
+  std::memcpy(out.data(), &h, sizeof(h));
+  std::copy(body.begin(), body.end(), out.begin() + sizeof(h));
+  return out;
+}
+
+// The writer no longer encodes kRuns, but v3 stores written before it
+// stopped hold kRuns tiles, so both decoders still read them. Each row is
+// (src delta, item count) and then (gap, run length - 1) items.
+TEST(Compress, DecodesHandWrittenRunsBody) {
+  const auto bytes =
+      hand_payload(TileCodec::kRuns, 0, 606,
+                   {0, 2, 2, 2, 1, 0,         // row 0: dsts 2-4, then 6
+                    5, 1, 0, 1,               // row 5: dsts 0-1
+                    2, 1, 100, 0xD7, 0x04});  // row 7: dsts 100-699
+  std::vector<SnbEdge> want = {{0, 2}, {0, 3}, {0, 4}, {0, 6}, {5, 0}, {5, 1}};
+  for (std::uint16_t d = 100; d < 700; ++d) want.push_back({7, d});
+  EXPECT_EQ(decompress_tile(bytes), want);
+
+  TileView v;
+  v.set_payload(parse_tile_payload(bytes));
+  std::vector<SnbEdge> got;
+  std::size_t blocks = 0;
+  for_each_block(v, [&](const EdgeBlock& b) {
+    ++blocks;
+    for (std::uint32_t k = 0; k < b.size; ++k)
+      got.push_back({static_cast<std::uint16_t>(b.src[k]),
+                     static_cast<std::uint16_t>(b.dst[k])});
+  });
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(blocks, 2u);
+  EXPECT_THROW(encode_tile_as(TileCodec::kRuns, want), InvalidArgument);
+}
+
 // The block decoder keeps every body check of the format: each malformed
 // body below passes the header checks, then the hot path rejects it with
 // its own error, without handing out more edges than declared, and the
 // oracle rejects it too.
 TEST(Compress, BlockDecoderRejectsEachMalformedBody) {
-  const auto payload = [](TileCodec codec, unsigned dst_bits,
-                          std::uint32_t edges, std::vector<std::uint8_t> body) {
-    TilePayloadHeader h;
-    h.codec = static_cast<std::uint8_t>(codec);
-    h.dst_bits = static_cast<std::uint8_t>(dst_bits);
-    h.edge_count = edges;
-    std::vector<std::uint8_t> out(sizeof(h) + (body.size() + 3) / 4 * 4, 0);
-    std::memcpy(out.data(), &h, sizeof(h));
-    std::copy(body.begin(), body.end(), out.begin() + sizeof(h));
-    return out;
-  };
   constexpr TileCodec kHy = TileCodec::kHybrid;
   constexpr TileCodec kRu = TileCodec::kRuns;
   const std::pair<const char*, std::vector<std::uint8_t>> cases[] = {
-      {"truncated varint", payload(kHy, 8, 1, {0x00, 0x80, 0x80, 0x80})},
-      {"varint overflow", payload(kHy, 8, 1, {0, 255, 255, 255, 255, 255})},
-      {"empty row in hybrid", payload(kHy, 8, 1, {0x00, 0x00})},
-      {"more edges than declared", payload(kHy, 8, 1, {0x00, 0x05, 1, 2})},
-      {"run overflows", payload(kHy, 8, 2, {0x00, 0x04, 0x00, 0x02})},
-      {"truncated bit-packed", payload(kHy, 8, 3, {0x00, 0x07, 1, 2})},
-      {"trailing bytes", payload(kHy, 8, 1, {0x00, 0x03, 7, 0, 0, 0, 0, 0})},
-      {"nonzero tile payload padding", payload(kHy, 8, 1, {0x00, 0x03, 7, 1})},
-      {"empty row in runs", payload(kRu, 0, 1, {0x00, 0x00})},
-      {"more edges than declared", payload(kRu, 0, 1, {0, 0x01, 0, 0x01})},
+      {"truncated varint", hand_payload(kHy, 8, 1, {0x00, 0x80, 0x80, 0x80})},
+      {"varint overflow",
+       hand_payload(kHy, 8, 1, {0, 255, 255, 255, 255, 255})},
+      {"empty row in hybrid", hand_payload(kHy, 8, 1, {0x00, 0x00})},
+      {"more edges than declared",
+       hand_payload(kHy, 8, 1, {0x00, 0x05, 1, 2})},
+      {"run overflows", hand_payload(kHy, 8, 2, {0x00, 0x04, 0x00, 0x02})},
+      {"truncated bit-packed", hand_payload(kHy, 8, 3, {0x00, 0x07, 1, 2})},
+      {"trailing bytes",
+       hand_payload(kHy, 8, 1, {0x00, 0x03, 7, 0, 0, 0, 0, 0})},
+      {"nonzero tile payload padding",
+       hand_payload(kHy, 8, 1, {0x00, 0x03, 7, 1})},
+      {"empty row in runs", hand_payload(kRu, 0, 1, {0x00, 0x00})},
+      {"more edges than declared",
+       hand_payload(kRu, 0, 1, {0, 0x01, 0, 0x01})},
   };
   for (const auto& [want, bytes] : cases) {
     const TileCodecInfo info = parse_tile_payload(bytes);

@@ -121,9 +121,10 @@ int main(int argc, char** argv) {
   opts.add("iterations", "20", "pagerank iteration cap");
   opts.add("tolerance", "1e-6", "pagerank convergence tolerance (0 = fixed)");
   opts.add("k", "4", "k for kcore");
-  opts.add("memory-mb", "64", "streaming+caching memory (MiB)");
+  opts.add("memory-mb", "64",
+           "streaming+caching memory (MiB); 2 x segment-mb caches nothing");
   opts.add("segment-mb", "8", "segment size (MiB)");
-  opts.add("policy", "proactive", "caching policy: proactive | lru | none");
+  opts.add("policy", "proactive", "caching policy: proactive | lru");
   opts.add("devices", "0", "emulate N SSDs (0 = native speed)");
   opts.add("stripe", "0", "read .tiles from a striped set of N members");
   opts.add("fault-spec", "",
@@ -192,9 +193,10 @@ int main(int argc, char** argv) {
     cfg.segment_bytes =
         static_cast<std::uint64_t>(opts.get_int("segment-mb")) << 20;
     const std::string policy = opts.get("policy");
-    cfg.policy = policy == "lru"    ? store::CachePolicyKind::kLru
-                 : policy == "none" ? store::CachePolicyKind::kNone
-                                    : store::CachePolicyKind::kProactive;
+    if (policy == "lru")
+      cfg.policy = store::CachePolicyKind::kLru;
+    else if (policy != "proactive")
+      throw InvalidArgument("unknown policy: " + policy);
     const std::string schedule = opts.get("schedule");
     if (schedule == "priority")
       cfg.schedule = store::ScheduleMode::kPriority;
@@ -233,10 +235,13 @@ int main(int argc, char** argv) {
       algo::TileBfsAsync bfs(root);
       const auto s = engine.run(bfs);
       print_stats(s, t.seconds());
+      // The pass count is the run: line's iteration count, which can depend
+      // on thread timing; the depths cannot.
       const auto d = bfs.depths();
-      std::printf("bfs-async: %u passes, reached %lld vertices\n", bfs.passes(),
+      std::printf("bfs-async: reached %lld vertices, max depth %d\n",
                   static_cast<long long>(std::count_if(
-                      d.begin(), d.end(), [](int x) { return x >= 0; })));
+                      d.begin(), d.end(), [](int x) { return x >= 0; })),
+                  *std::max_element(d.begin(), d.end()));
     } else if (algo == "pagerank") {
       algo::PageRankOptions popt;
       popt.max_iterations = static_cast<std::uint32_t>(opts.get_int("iterations"));
