@@ -9,6 +9,7 @@
 // reproduction target is each experiment's *shape* (see EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -117,6 +118,24 @@ inline store::EngineConfig engine_config_fraction(const tile::TileStore& store,
       static_cast<std::uint64_t>(store.data_bytes() * fraction), 64 << 10);
   cfg.segment_bytes = std::max<std::uint64_t>(cfg.stream_memory_bytes / 8, 8 << 10);
   return cfg;
+}
+
+// The faster of two runs, in seconds: `timed_run` does its own setup, then
+// times one run and returns the seconds. On a shared host an OpenMP worker
+// can be left off the CPU for about the first second of a process's
+// parallel regions, so each region waits whole 4 ms scheduler ticks instead
+// of microseconds. A bare OpenMP program with no G-Store code stalled that
+// way in 2 of 22 processes, and in bench_fig09_vs_xstream (scale 16) the
+// first Kron BFS then took 1.0-1.15 s instead of 0.035 s, a 0.5x speed-up
+// where the true figure is about 17x. A stall is the host's cost, not the
+// engine's, so the comparative benches time each engine this way. It does
+// not always hide the stall, which can reach into the second run.
+// perfbench does not call this: its metrics are medians over many
+// processes, and its timing changes only with the benchmark.
+template <typename TimedRun>
+double faster_of_two(TimedRun&& timed_run) {
+  const double first = timed_run();
+  return std::min(first, timed_run());
 }
 
 // ---- tiny fixed-width table printer ---------------------------------------

@@ -35,41 +35,54 @@ void run_graph(const bench::NamedGraph& named, bench::Table& t) {
                                    el.vertex_count(), xbytes / tuple, xcfg);
   };
 
+  // Each engine's time is the faster of two runs (bench::faster_of_two),
+  // each run on a fresh engine.
+  auto time_gstore = [&](store::TileAlgorithm& algo) {
+    return bench::faster_of_two([&] {
+      Timer timer;
+      store::ScrEngine(store, cfg).run(algo);
+      return timer.seconds();
+    });
+  };
+  auto time_xstream = [&](auto&& run) {
+    return bench::faster_of_two([&] {
+      auto xs = xs_engine();
+      Timer timer;
+      run(xs);
+      return timer.seconds();
+    });
+  };
+  auto add_row = [&](const char* algorithm, double gs, double xs) {
+    t.row({named.name, algorithm, bench::fmt(gs), bench::fmt(xs),
+           bench::fmt(xs / gs, 1) + "x"});
+  };
+
   {
     algo::TileBfs bfs(root);
-    Timer tg;
-    store::ScrEngine(store, cfg).run(bfs);
-    const double gs = tg.seconds();
-    auto xs = xs_engine();
     std::vector<std::int32_t> depth;
-    Timer tx;
-    xs.run_bfs(root, depth);
-    t.row({named.name, "BFS", bench::fmt(gs), bench::fmt(tx.seconds()),
-           bench::fmt(tx.seconds() / gs, 1) + "x"});
+    const double gs = time_gstore(bfs);
+    add_row("BFS", gs,
+            time_xstream([&](baseline::XStreamEngine& xs) {
+              xs.run_bfs(root, depth);
+            }));
   }
   {
     algo::TilePageRank pr(algo::PageRankOptions{0.85, kPrIters, 0.0});
-    Timer tg;
-    store::ScrEngine(store, cfg).run(pr);
-    const double gs = tg.seconds();
-    auto xs = xs_engine();
     std::vector<float> rank;
-    Timer tx;
-    xs.run_pagerank(kPrIters, 0.85, el.degrees(), rank);
-    t.row({named.name, "PageRank", bench::fmt(gs), bench::fmt(tx.seconds()),
-           bench::fmt(tx.seconds() / gs, 1) + "x"});
+    const double gs = time_gstore(pr);
+    add_row("PageRank", gs,
+            time_xstream([&](baseline::XStreamEngine& xs) {
+              xs.run_pagerank(kPrIters, 0.85, el.degrees(), rank);
+            }));
   }
   {
     algo::TileWcc wcc;
-    Timer tg;
-    store::ScrEngine(store, cfg).run(wcc);
-    const double gs = tg.seconds();
-    auto xs = xs_engine();
     std::vector<graph::vid_t> label;
-    Timer tx;
-    xs.run_wcc(label);
-    t.row({named.name, "CC", bench::fmt(gs), bench::fmt(tx.seconds()),
-           bench::fmt(tx.seconds() / gs, 1) + "x"});
+    const double gs = time_gstore(wcc);
+    add_row("CC", gs,
+            time_xstream([&](baseline::XStreamEngine& xs) {
+              xs.run_wcc(label);
+            }));
   }
 }
 

@@ -23,7 +23,9 @@ void TileBfs::init(const tile::TileStore& store) {
   frontier_row_cur_[root_ >> tile_bits_] = 1;
 }
 
-void TileBfs::begin_iteration(std::uint32_t) { newly_visited_ = 0; }
+void TileBfs::begin_iteration(std::uint32_t, std::uint32_t) {
+  newly_visited_ = 0;
+}
 
 void TileBfs::process_tile(const tile::TileView& view) {
   tile::for_each_block(view,

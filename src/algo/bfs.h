@@ -23,7 +23,7 @@ class TileBfs final : public store::TileAlgorithm {
 
   std::string name() const override { return "bfs"; }
   void init(const tile::TileStore& store) override;
-  void begin_iteration(std::uint32_t iter) override;
+  void begin_iteration(std::uint32_t iter, std::uint32_t bucket) override;
   void process_tile(const tile::TileView& view) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;

@@ -40,7 +40,7 @@ class TileWcc final : public store::TileAlgorithm {
  public:
   std::string name() const override { return "wcc"; }
   void init(const tile::TileStore& store) override;
-  void begin_iteration(std::uint32_t) override {}
+  void begin_iteration(std::uint32_t, std::uint32_t) override {}
   void process_tile(const tile::TileView& view) override;
   bool end_iteration(std::uint32_t iter) override;
   // Every tile with data, or only the tiles reactivate() marked.

@@ -5,6 +5,7 @@
 #include "algo/atomics.h"
 #include "graph/csr.h"
 #include "graph/edge_list.h"
+#include "tile/overlay.h"
 #include "util/status.h"
 
 namespace gstore::algo {
@@ -17,9 +18,15 @@ void TileKCore::init(const tile::TileStore& store) {
   live_degree_.assign(store.vertex_count(), 0);
   row_alive_.assign(store.grid().p(), 1);
   killed_this_iter_ = 0;
+  const tile::TileOverlay* overlay = store.overlay();
+  data_tiles_.clear();
+  for (std::uint64_t idx = 0; idx < store.grid().tile_count(); ++idx)
+    if (store.tile_bytes(idx) != 0 ||
+        (overlay != nullptr && !overlay->tile_edges(idx).empty()))
+      data_tiles_.push_back(store.grid().coord_at(idx));
 }
 
-void TileKCore::begin_iteration(std::uint32_t) {
+void TileKCore::begin_iteration(std::uint32_t, std::uint32_t) {
   std::fill(live_degree_.begin(), live_degree_.end(), 0);
   killed_this_iter_ = 0;
 }
@@ -59,6 +66,18 @@ bool TileKCore::end_iteration(std::uint32_t) {
     }
   }
   row_alive_.swap(next_row_alive);
+  // A round runs the tiles with both rows alive. Once no tile carrying data
+  // has, no edge joins two survivors, so with k >= 1 they all die now. A
+  // priority run stops when no tile has work, so it would never run the
+  // empty round that zeroes their degrees.
+  if (k_ > 0 && std::none_of(data_tiles_.begin(), data_tiles_.end(),
+                             [&](tile::TileCoord c) {
+                               return tile_needed(c.i, c.j);
+                             })) {
+    killed_this_iter_ += core_size();
+    std::fill(alive_.begin(), alive_.end(), 0);
+    std::fill(row_alive_.begin(), row_alive_.end(), 0);
+  }
   return killed_this_iter_ > 0;
 }
 

@@ -22,7 +22,7 @@ class TileKCore final : public store::TileAlgorithm {
 
   std::string name() const override { return "kcore"; }
   void init(const tile::TileStore& store) override;
-  void begin_iteration(std::uint32_t iter) override;
+  void begin_iteration(std::uint32_t iter, std::uint32_t bucket) override;
   void process_tile(const tile::TileView& view) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
@@ -41,6 +41,8 @@ class TileKCore final : public store::TileAlgorithm {
   std::vector<graph::degree_t> live_degree_;  // recomputed every iteration
   // A tile row stays relevant while it contains any alive vertex.
   std::vector<std::uint8_t> row_alive_;
+  // The tiles carrying data (base bytes or overlay edges).
+  std::vector<tile::TileCoord> data_tiles_;
 };
 
 // In-memory reference: classic peeling. Returns the alive bitmap.

@@ -50,7 +50,7 @@ class TilePageRank final : public store::TileAlgorithm {
 
   std::string name() const override { return "pagerank"; }
   void init(const tile::TileStore& store) override;
-  void begin_iteration(std::uint32_t) override {}
+  void begin_iteration(std::uint32_t, std::uint32_t) override {}
   void process_tile(const tile::TileView& view) override;
   bool end_iteration(std::uint32_t iter) override;
 

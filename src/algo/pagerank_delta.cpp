@@ -33,7 +33,6 @@ void TilePageRankDelta::init(const tile::TileStore& store) {
   res_fx_.assign(n_, seed_fx);
   push_fx_.assign(n_, 0);
   row_res_fx_.assign(store.grid().p(), 0);
-  row_armed_.assign(store.grid().p(), 0);
   for (graph::vid_t v = 0; v < n_; ++v)
     row_res_fx_[v >> tile_bits_] += res_fx_[v];
   drained_rows_.clear();
@@ -81,19 +80,12 @@ void TilePageRankDelta::drain_rows_upto(std::uint32_t bucket) {
     // In-flight pushes during the round re-add to the row; the drained mass
     // itself is gone.
     row_res_fx_[r] = 0;
-    row_armed_[r] = 1;
     drained_rows_.push_back(r);
   }
 }
 
-void TilePageRankDelta::begin_round(std::uint32_t, std::uint32_t bucket) {
+void TilePageRankDelta::begin_iteration(std::uint32_t, std::uint32_t bucket) {
   drain_rows_upto(bucket);
-}
-
-void TilePageRankDelta::begin_iteration(std::uint32_t) {
-  // Grid mode: no bucket discrimination — drain every pending row, so one
-  // iteration is one full residual sweep.
-  drain_rows_upto(kPriorityIdle - 1);
 }
 
 void TilePageRankDelta::process_tile(const tile::TileView& view) {
@@ -142,7 +134,7 @@ void TilePageRankDelta::process_block(const tile::EdgeBlock& block) {
   if (b_mass != 0) atomic_fetch_add(&row_res_fx_[rows.j], b_mass);
 }
 
-bool TilePageRankDelta::end_round(std::uint32_t, std::uint32_t) {
+bool TilePageRankDelta::end_iteration(std::uint32_t) {
   // Disarm the drained vertices' pushes — their mass is spent; tiles
   // processed in later rounds must not re-push it.
   for (const std::uint32_t r : drained_rows_) {
@@ -150,7 +142,6 @@ bool TilePageRankDelta::end_round(std::uint32_t, std::uint32_t) {
     const auto hi = static_cast<graph::vid_t>(std::min<std::uint64_t>(
         n_, (static_cast<std::uint64_t>(r) + 1) << tile_bits_));
     std::fill(push_fx_.begin() + lo, push_fx_.begin() + hi, 0);
-    row_armed_[r] = 0;
   }
   std::uint64_t total = 0;
   for (const std::uint64_t m : row_res_fx_) total += m;
@@ -158,18 +149,6 @@ bool TilePageRankDelta::end_round(std::uint32_t, std::uint32_t) {
   const auto tol_fx =
       static_cast<std::uint64_t>(options_.tolerance * fx_scale());
   return total > tol_fx;
-}
-
-bool TilePageRankDelta::end_iteration(std::uint32_t iter) {
-  return end_round(iter, 0);
-}
-
-bool TilePageRankDelta::tile_needed(std::uint32_t i, std::uint32_t j) const {
-  // A tile has work in the current round only if its from-side rows hold
-  // armed pushes (same row selection as SSSP/BFS: the stored tuple's
-  // propagation direction).
-  if (row_armed_[in_edges_ ? j : i] != 0) return true;
-  return symmetric_ && row_armed_[j] != 0;
 }
 
 bool TilePageRankDelta::tile_useful_next(std::uint32_t i,

@@ -6,9 +6,11 @@
 // vertex carries a residual: un-propagated probability mass. Draining a
 // vertex moves its residual into its rank and pushes damping·residual/degree
 // to each neighbour. Work therefore concentrates where mass still moves —
-// per-tile-row residual mass is the priority oracle, and the engine's
-// priority rounds run heavy tiles first while converged regions of the graph
-// are never fetched again.
+// per-tile-row residual mass is the priority oracle, and begin_iteration
+// drains the rows of the buckets its round runs. A grid sweep runs every
+// bucket, so it drains every row holding residual: one full residual sweep.
+// The engine's priority rounds run heavy tiles first while converged
+// regions of the graph are never fetched again.
 //
 // Determinism: residuals, ranks, and pushes are all uint64 fixed-point
 // (kFxBits fractional bits). Integer atomic adds commute exactly, so a run's
@@ -48,15 +50,11 @@ class TilePageRankDelta final : public store::TileAlgorithm {
 
   std::string name() const override { return "pagerank-delta"; }
   void init(const tile::TileStore& store) override;
-  void begin_iteration(std::uint32_t iter) override;
+  void begin_iteration(std::uint32_t iter, std::uint32_t bucket) override;
   void process_tile(const tile::TileView& view) override;
   bool end_iteration(std::uint32_t iter) override;
-  bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
-
   std::uint32_t tile_priority(std::uint32_t i, std::uint32_t j) const override;
-  void begin_round(std::uint32_t round, std::uint32_t bucket) override;
-  bool end_round(std::uint32_t round, std::uint32_t bucket) override;
   std::uint64_t last_round_updates() const override { return drained_; }
 
   // Final ranks: drained mass plus whatever residual is still pending (it
@@ -84,11 +82,6 @@ class TilePageRankDelta final : public store::TileAlgorithm {
   std::vector<std::uint64_t> res_fx_;      // pending mass per vertex
   std::vector<std::uint64_t> push_fx_;     // per-edge push of drained vertices
   std::vector<std::uint64_t> row_res_fx_;  // pending mass per tile row
-  // Rows whose vertices hold armed pushes for the in-progress round. The
-  // grid scheduler builds its fetch list *after* begin_iteration has drained
-  // the residuals into pushes, so tile_needed must read this, not the
-  // (already-zeroed) row residuals.
-  std::vector<std::uint8_t> row_armed_;
   std::vector<std::uint32_t> drained_rows_;
 };
 

@@ -27,7 +27,9 @@ void TileReach::init(const tile::TileStore& store) {
   frontier_row_cur_[root_ >> tile_bits_] = 1;
 }
 
-void TileReach::begin_iteration(std::uint32_t) { new_reached_ = 0; }
+void TileReach::begin_iteration(std::uint32_t, std::uint32_t) {
+  new_reached_ = 0;
+}
 
 void TileReach::process_tile(const tile::TileView& view) {
   tile::for_each_block(view,

@@ -24,8 +24,6 @@ void TileSssp::init(const tile::TileStore& store) {
   relaxed_ = 0;
 }
 
-void TileSssp::begin_iteration(std::uint32_t) { relaxed_ = 0; }
-
 void TileSssp::process_tile(const tile::TileView& view) {
   if (unit_weight_)
     tile::for_each_block(
@@ -79,12 +77,6 @@ void TileSssp::publish(std::uint32_t row, float best) {
   atomic_min(&row_pending_[row], best);
 }
 
-bool TileSssp::end_iteration(std::uint32_t) {
-  active_row_cur_.swap(active_row_next_);
-  std::fill(active_row_next_.begin(), active_row_next_.end(), 0);
-  return relaxed_ > 0;
-}
-
 bool TileSssp::tile_needed(std::uint32_t i, std::uint32_t j) const {
   if (active_row_cur_[in_edges_ ? j : i]) return true;
   return symmetric_ && active_row_cur_[j];
@@ -95,7 +87,7 @@ bool TileSssp::tile_useful_next(std::uint32_t i, std::uint32_t j) const {
   return symmetric_ && active_row_next_[j];
 }
 
-// ---- delta-stepping (priority mode) ---------------------------------------
+// ---- the round's buckets ----------------------------------------------------
 
 std::uint32_t TileSssp::bucket_of(float d) const {
   if (d == kInf) return kPriorityIdle;
@@ -114,20 +106,21 @@ std::uint32_t TileSssp::tile_priority(std::uint32_t i, std::uint32_t j) const {
   return p;
 }
 
-void TileSssp::begin_round(std::uint32_t, std::uint32_t bucket) {
+void TileSssp::begin_iteration(std::uint32_t, std::uint32_t bucket) {
   relaxed_ = 0;
-  // Drain every row whose pending bucket this round covers. Clearing the
-  // pending mark *before* processing lets in-round relaxations re-arm the
-  // row for a later round (the delta-stepping re-entry rule).
+  // Drain every row whose pending bucket this round covers — in a grid
+  // sweep (kMaxBucket) every pending row. Clearing the pending mark
+  // *before* processing lets in-round relaxations re-arm the row for a
+  // later round (the delta-stepping re-entry rule).
   for (float& pending : row_pending_)
     if (pending != kInf && bucket_of(pending) <= bucket) pending = kInf;
 }
 
-bool TileSssp::end_round(std::uint32_t, std::uint32_t) {
+bool TileSssp::end_iteration(std::uint32_t) {
   bool any_pending = false;
   for (std::uint32_t r = 0; r < row_pending_.size(); ++r) {
-    // Keep the grid-mode oracles coherent for the caching policy: a row is
-    // "active" exactly while it holds pending work.
+    // tile_needed names the rows holding pending work, as tile_priority
+    // does.
     active_row_cur_[r] = row_pending_[r] != kInf ? 1 : 0;
     any_pending |= active_row_cur_[r] != 0;
   }
@@ -146,8 +139,8 @@ bool TileSssp::reactivate(const tile::TileStore& store,
   relaxed_ = 0;
   std::fill(active_row_next_.begin(), active_row_next_.end(), 0);
   // Only the armed rows may hold pending work: the engine asks every
-  // tile's priority, and a grid-mode run relaxes into row_pending_ without
-  // ever draining it.
+  // tile's priority, and a priority run can end with work pending in rows
+  // whose tiles carry no data.
   std::fill(row_pending_.begin(), row_pending_.end(), kInf);
   std::vector<std::uint8_t> armed(grid.p(), 0);
   auto arm_row = [&](std::uint32_t r) {

@@ -5,13 +5,14 @@
 // The 4-byte tile tuple has no room for weights, so weights are derived
 // deterministically from the endpoint pair (hash → [1, 16]); the in-memory
 // Dijkstra reference uses the same function, keeping validation exact.
-// Relaxation is Bellman-Ford style with per-tile-row activity flags.
-//
-// Priority mode (docs/SCHEDULING.md) turns this into delta-stepping over
-// tiles: each tile row tracks the minimum un-drained candidate distance,
-// tile_priority buckets it by floor(dist/delta), and the engine drains the
-// lowest bucket first — so the wavefront's tiles are fetched before
-// far-from-the-source tiles that a grid sweep would stream every iteration.
+// Relaxation is Bellman-Ford style over tile rows: each tile row tracks the
+// minimum un-drained candidate distance, tile_priority buckets it by
+// floor(dist/delta), and begin_iteration drains the rows of the buckets its
+// round runs. A grid sweep runs every bucket, so it drains every pending
+// row: one Bellman-Ford pass. Priority mode (docs/SCHEDULING.md) drains the
+// lowest bucket first — delta-stepping over tiles, so the wavefront's tiles
+// are fetched before far-from-the-source tiles that a grid sweep would
+// stream every iteration.
 // Final distances are bit-identical to grid order: relaxation is a monotone
 // min over left-associated float path sums, so the converged fixpoint does
 // not depend on the order relaxations arrive in.
@@ -47,16 +48,12 @@ class TileSssp : public store::TileAlgorithm {
 
   std::string name() const override { return "sssp"; }
   void init(const tile::TileStore& store) override;
-  void begin_iteration(std::uint32_t iter) override;
+  void begin_iteration(std::uint32_t iter, std::uint32_t bucket) override;
   void process_tile(const tile::TileView& view) override;
   bool end_iteration(std::uint32_t iter) override;
   bool tile_needed(std::uint32_t i, std::uint32_t j) const override;
   bool tile_useful_next(std::uint32_t i, std::uint32_t j) const override;
-
-  // Delta-stepping hooks (priority mode).
   std::uint32_t tile_priority(std::uint32_t i, std::uint32_t j) const override;
-  void begin_round(std::uint32_t round, std::uint32_t bucket) override;
-  bool end_round(std::uint32_t round, std::uint32_t bucket) override;
   std::uint64_t last_round_updates() const override { return relaxed_; }
   bool reactivate(const tile::TileStore& store,
                   std::span<const std::uint64_t> delta_tiles) override;
@@ -88,12 +85,14 @@ class TileSssp : public store::TileAlgorithm {
   float delta_ = 8.0f;
   std::uint64_t relaxed_ = 0;
   std::vector<float> dist_;
-  std::vector<std::uint8_t> active_row_cur_;   // row had a distance drop last iter
+  // Rows holding pending work when the last round ended (tile_needed's
+  // view of row_pending_), and rows a relaxation reached this round.
+  std::vector<std::uint8_t> active_row_cur_;
   std::vector<std::uint8_t> active_row_next_;
-  // Priority-mode state: per tile-row minimum un-drained candidate distance
-  // (kInf = nothing pending). publish() lowers it; begin_round clears it for
-  // the rows whose bucket the round drains, so in-round relaxations re-arm
-  // them for a later round.
+  // Per tile-row minimum un-drained candidate distance (kInf = nothing
+  // pending). publish() lowers it; begin_iteration clears it for the rows
+  // whose bucket the round drains, so in-round relaxations re-arm them for
+  // a later round.
   std::vector<float> row_pending_;
 };
 

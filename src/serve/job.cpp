@@ -44,7 +44,7 @@ class NeighborhoodQuery final : public store::TileAlgorithm {
     target_tile_ = v_ >> tile_bits_;
   }
 
-  void begin_iteration(std::uint32_t) override {}
+  void begin_iteration(std::uint32_t, std::uint32_t) override {}
 
   void process_tile(const tile::TileView& view) override {
     std::vector<graph::vid_t> found;

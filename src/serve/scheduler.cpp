@@ -57,7 +57,6 @@ struct SharedScheduler::Runner {
         max_gang(max_gang),
         admit(admit),
         done(done),
-        overlay(store.overlay()),
         exec(store, config, hooks()),
         pool(exec.pool()),
         stats(exec.stats()),
@@ -71,8 +70,7 @@ struct SharedScheduler::Runner {
   store::RoundHooks hooks() {
     return store::RoundHooks{
         [this](std::uint64_t idx) {
-          return (store.tile_edge_count(idx) + overlay_count(idx)) *
-                 subscribers(masks[idx]);
+          return exec.tile_edges(idx) * subscribers(masks[idx]);
         },
         [this](std::uint64_t idx, std::span<const tile::TileView> views) {
           for_bits(masks[idx], [&](std::size_t k) {
@@ -115,15 +113,6 @@ struct SharedScheduler::Runner {
 
   // ---- per-tile oracles over the gang ------------------------------------
 
-  Mask needed_mask(std::uint64_t layout_idx) const {
-    const tile::TileCoord c = grid.coord_at(layout_idx);
-    Mask m = 0;
-    for_bits(occupied, [&](std::size_t k) {
-      if (slots[k].job.algo->tile_needed(c.i, c.j)) m |= Mask{1} << k;
-    });
-    return m;
-  }
-
   Mask useful_next_mask(std::uint64_t layout_idx) const {
     const tile::TileCoord c = grid.coord_at(layout_idx);
     Mask m = 0;
@@ -131,10 +120,6 @@ struct SharedScheduler::Runner {
       if (slots[k].job.algo->tile_useful_next(c.i, c.j)) m |= Mask{1} << k;
     });
     return m;
-  }
-
-  std::uint64_t overlay_count(std::uint64_t layout_idx) const {
-    return overlay == nullptr ? 0 : overlay->tile_edges(layout_idx).size();
   }
 
   // ---- shared-cache admission --------------------------------------------
@@ -201,23 +186,30 @@ struct SharedScheduler::Runner {
 
   // ---- one gang round ----------------------------------------------------
 
-  // Plans the round: the union of the active jobs' needed tiles, in layout
-  // order, each with its subscriber mask for the hooks.
+  // Plans the round, as ScrEngine plans a grid sweep: one scan over the
+  // tiles carrying data asks every active job's tile_priority, and a tile
+  // with work for some job joins the round, in layout order, with the mask
+  // of the jobs it has work for. Runs before the jobs' begin hooks.
   void plan_round() {
     round_tiles.clear();
-    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-      const bool has_data =
-          store.tile_bytes(idx) != 0 || overlay_count(idx) != 0;
-      masks[idx] = has_data ? needed_mask(idx) : 0;
-      if (masks[idx] != 0) round_tiles.push_back(idx);
+    for (const std::uint64_t idx : exec.data_tiles()) {
+      const tile::TileCoord c = grid.coord_at(idx);
+      Mask m = 0;
+      for_bits(occupied, [&](std::size_t k) {
+        if (slots[k].job.algo->tile_priority(c.i, c.j) !=
+            store::TileAlgorithm::kPriorityIdle)
+          m |= Mask{1} << k;
+      });
+      masks[idx] = m;
+      if (m != 0) round_tiles.push_back(idx);
     }
   }
 
   // Books the round's kernel deliveries into each subscriber's JobStats.
   void account_round() {
     for (const std::uint64_t idx : round_tiles) {
-      const std::uint64_t extra = overlay_count(idx);
-      const std::uint64_t edges = store.tile_edge_count(idx) + extra;
+      const std::uint64_t edges = exec.tile_edges(idx);
+      const std::uint64_t extra = exec.overlay_edges(idx);
       for_bits(masks[idx], [&](std::size_t k) {
         JobStats& s = slots[k].stats;
         s.edges_processed += edges;
@@ -227,11 +219,15 @@ struct SharedScheduler::Runner {
     }
   }
 
+  // One gang round is a grid sweep with N subscribers: the plan, every
+  // job's begin hook for every bucket (kMaxBucket), the pass, and the end
+  // hooks.
   void run_round() {
-    for_bits(occupied, [&](std::size_t k) {
-      slots[k].job.algo->begin_iteration(slots[k].iter);
-    });
     plan_round();
+    for_bits(occupied, [&](std::size_t k) {
+      slots[k].job.algo->begin_iteration(slots[k].iter,
+                                         store::TileAlgorithm::kMaxBucket);
+    });
     stats.tiles_skipped += exec.run_round(round_tiles);
     account_round();
 
@@ -300,7 +296,6 @@ struct SharedScheduler::Runner {
   const std::size_t max_gang;
   const AdmitFn& admit;
   const DoneFn& done;
-  const tile::TileOverlay* overlay = nullptr;
 
   std::vector<Slot> slots;
   Mask occupied = 0;

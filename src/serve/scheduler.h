@@ -3,9 +3,11 @@
 // ScrEngine runs one algorithm per iteration loop; this scheduler runs a
 // *gang* of up to 64 jobs co-scheduled over one StoreSnapshot through the
 // same slide–cache–rewind pass (store::RoundExecutor). A gang round — one
-// iteration of every active job — is a round with N subscribers: its tiles
-// are the UNION of the active jobs' needed tiles, each carrying the set of
-// jobs that want it.
+// iteration of every active job — is a grid sweep with N subscribers,
+// planned like ScrEngine's (store/algorithm.h): before the jobs' begin
+// hooks, one scan asks every job's tile_priority, and the round's tiles are
+// the UNION of the tiles some job has work in, each carrying the set of
+// jobs that want it. Each job's begin hook is told kMaxBucket.
 //
 //   REWIND — both segments' first SLIDE reads are submitted, then every
 //            tile in the shared cache pool that some job wants this round
@@ -59,7 +61,7 @@ namespace gstore::serve {
 // default. A gang always caches under its fairness rule; a zero pool
 // (stream_memory_bytes == 2 × segment_bytes) turns caching off. Selective
 // fetch is not a setting: a round fetches only the tiles some job's
-// tile_needed() asks for.
+// tile_priority() names.
 struct SchedulerConfig {
   std::uint64_t stream_memory_bytes = 64ull << 20;
   std::uint64_t segment_bytes = 8ull << 20;

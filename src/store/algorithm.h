@@ -2,29 +2,34 @@
 //
 // An algorithm owns its metadata arrays (depth, rank, labels …) and exposes
 // three oracles the engine uses:
-//   * tile_needed(i,j)      — selective fetch: must this tile be processed in
-//                             the *current* iteration? (paper §V-B)
+//   * tile_priority(i,j)    — selective fetch and priority scheduling
+//                             (paper §V-B, docs/SCHEDULING.md): the bucket
+//                             of this tile's pending work, or kPriorityIdle
+//                             when it has none.
+//   * tile_needed(i,j)      — must this tile be processed in the current
+//                             iteration? The default tile_priority derives
+//                             from it.
 //   * tile_useful_next(i,j) — proactive caching: with the information known
 //                             so far, might this tile be needed in the *next*
 //                             iteration? (paper §VI-C Rules 1 & 2)
-//   * tile_priority(i,j)    — priority scheduling (docs/SCHEDULING.md): how
-//                             urgent is this tile's pending work? Before each
-//                             round the engine's priority mode asks it of
-//                             every tile and runs the minimum bucket's tiles
-//                             instead of sliding the grid in row order.
 // process_tile() may be called concurrently for different tiles; metadata
 // updates must be thread-safe.
 //
-// Oracle stability: the engine plans a whole grid iteration right after
-// begin_iteration() and a whole priority round right before begin_round() —
-// which tiles it takes from the cache pool, fetches, or splices from the
+// One protocol plans every round, in ScrEngine's two modes and in the serve
+// gang alike: one scan asks tile_priority of every tile that carries data,
+// then one begin_iteration(iter, bucket) call tells the algorithm which
+// bucket the round runs. A grid sweep (and a gang round) runs every tile
+// with work and says kMaxBucket, "every bucket"; a priority round runs the
+// lowest bucket's tiles and says that bucket. Then the round's tiles are
+// processed, and end_iteration(iter) decides whether to go on.
+//
+// Oracle stability: the scan before the begin hook fixes a round's tiles —
+// which the engine takes from the cache pool, fetches, or splices from the
 // overlay — and has reads in flight before its first process_tile() call.
-// So tile_needed() must not change between begin_iteration() and the end
-// of the iteration's scan: it may read only "current" state that
-// process_tile() never writes. Debug builds check this by planning again
-// after the scan. tile_priority() is asked of every tile before each
-// round, so a tile whose pending work a round drained must say
-// kPriorityIdle, or the next round runs it again.
+// The oracles may change during the round; the next round scans again. So
+// tile_priority must say kPriorityIdle for a tile whose pending work a
+// round drained, or the next round runs it again, and tile_needed must not
+// depend on the begin hook.
 //
 // process_tile() is the one compute entry point (docs/HOTPATH.md). The
 // built-in algorithms implement it as tile::for_each_block over the view,
@@ -47,7 +52,9 @@ class TileAlgorithm {
   // tile_priority() result meaning "this tile has no pending work".
   static constexpr std::uint32_t kPriorityIdle = 0xffffffffu;
   // Priorities at or above this share one overflow bucket: its tiles run
-  // together in one round, which begin_round() sees as bucket kMaxBucket.
+  // together in one round, which begin_iteration() sees as bucket
+  // kMaxBucket. Grid sweeps and gang rounds, which run every bucket at
+  // once, say kMaxBucket too.
   static constexpr std::uint32_t kMaxBucket = 1u << 16;
 
   virtual ~TileAlgorithm() = default;
@@ -57,13 +64,19 @@ class TileAlgorithm {
   // Called once before the first iteration; the store outlives the run.
   virtual void init(const tile::TileStore& store) = 0;
 
-  virtual void begin_iteration(std::uint32_t iter) = 0;
+  // Starts a round that runs the tiles of buckets up to `bucket` (see the
+  // header comment). Algorithms that drain pending work by bucket (SSSP,
+  // PageRank-delta) drain exactly those buckets here.
+  virtual void begin_iteration(std::uint32_t iter,
+                               std::uint32_t bucket = kMaxBucket) = 0;
 
   // Process every edge of one tile. `view.edges` are SNB tuples; global ids
   // are view.src_base + e.src16 / view.dst_base + e.dst16.
   virtual void process_tile(const tile::TileView& view) = 0;
 
-  // Returns true if another iteration is required.
+  // Returns true if another iteration is required. Returning false stops
+  // the run even if tiles still have work (e.g. a residual algorithm whose
+  // total pending mass fell under tolerance).
   virtual bool end_iteration(std::uint32_t iter) = 0;
 
   // Selective-fetch oracle. Default: every tile, every iteration.
@@ -77,8 +90,6 @@ class TileAlgorithm {
     return true;
   }
 
-  // ---- priority-mode hooks (ScheduleMode::kPriority, docs/SCHEDULING.md) --
-
   // Priority oracle: the delta-stepping bucket of this tile's pending work
   // (smaller = drained earlier), or kPriorityIdle when it has none. The
   // default derives from tile_needed, which puts every needed tile in one
@@ -86,21 +97,6 @@ class TileAlgorithm {
   // one bucket-0 round per iteration.
   virtual std::uint32_t tile_priority(std::uint32_t i, std::uint32_t j) const {
     return tile_needed(i, j) ? 0 : kPriorityIdle;
-  }
-
-  // Round hooks. A priority round processes one bucket's tiles, not the
-  // whole grid; algorithms that distinguish rounds from iterations (e.g.
-  // delta-stepping SSSP snapshotting the rows it is about to drain)
-  // override these. Defaults delegate to the iteration hooks.
-  virtual void begin_round(std::uint32_t round, std::uint32_t bucket) {
-    (void)bucket;
-    begin_iteration(round);
-  }
-  // Returns false to stop the run even if tiles still have work (e.g. a
-  // residual algorithm whose total pending mass fell under tolerance).
-  virtual bool end_round(std::uint32_t round, std::uint32_t bucket) {
-    (void)bucket;
-    return end_iteration(round);
   }
 
   // Label updates made during the last round (relaxations, visits, pushed

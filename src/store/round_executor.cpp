@@ -40,11 +40,14 @@ RoundExecutor::RoundExecutor(tile::TileStore& store, const EngineConfig& config,
       std::max<std::uint64_t>(budget_.segment_bytes, store.max_tile_bytes());
   segments_[0] = Segment(cap);
   segments_[1] = Segment(cap);
-  for (std::uint64_t idx = 0; idx < store.grid().tile_count(); ++idx)
+  for (std::uint64_t idx = 0; idx < store.grid().tile_count(); ++idx) {
     if (store.tile_bytes(idx) != 0) ++nonempty_tiles_;
+    if (store.tile_bytes(idx) != 0 || overlay_edges(idx) != 0)
+      data_tiles_.push_back(idx);
+  }
 }
 
-std::uint64_t RoundExecutor::overlay_count(std::uint64_t layout_idx) const {
+std::uint64_t RoundExecutor::overlay_edges(std::uint64_t layout_idx) const {
   return overlay_ == nullptr ? 0 : overlay_->tile_edges(layout_idx).size();
 }
 
@@ -106,9 +109,8 @@ void RoundExecutor::scan(std::size_t n, IdxFn idx, DataFn data) {
   for (std::size_t c = 0; c < chunks_.size(); ++c) {
     for (std::size_t k = chunks_[c].begin; k < chunks_[c].end; ++k) {
       process_one_captured(idx(k), data(k));
-      const std::uint64_t extra = overlay_count(idx(k));
-      edges += store_.tile_edge_count(idx(k)) + extra;
-      oedges += extra;
+      edges += tile_edges(idx(k));
+      oedges += overlay_edges(idx(k));
     }
   }
   rethrow_scan_error();
@@ -270,7 +272,7 @@ std::uint64_t RoundExecutor::run_round(
       cached_[kept++] = cached_[ci];
     else if (store_.tile_bytes(idx) != 0)
       fetch_.push_back(idx);
-    else if (overlay_count(idx) != 0)
+    else if (overlay_edges(idx) != 0)
       delta_only_.push_back(idx);
   }
   cached_.resize(kept);

@@ -3,8 +3,9 @@
 // rounds, and the serve gang's rounds (a gang is a round with N
 // subscribers).
 //
-// A caller hands run_round() one round's tiles in ascending layout order;
-// three hooks (RoundHooks) carry everything caller-specific. The pass:
+// A caller plans a round by scanning data_tiles() and hands run_round() the
+// round's tiles in ascending layout order; three hooks (RoundHooks) carry
+// everything caller-specific. The pass:
 //   plan   — split the tiles against a snapshot of the cache pool into
 //            cached, fetched and overlay-only ones. With caching off (a
 //            zero pool) the pool is empty, so every tile with base bytes is
@@ -66,11 +67,23 @@ class RoundExecutor {
   RoundExecutor(tile::TileStore& store, const EngineConfig& config,
                 RoundHooks hooks);
 
-  // Runs one round over `tiles` (ascending layout indices, each carrying
-  // base bytes or overlay edges) and reaps every read it submitted before
-  // returning. Returns how many tiles with base bytes the round neither
-  // took from the pool nor fetched.
+  // Runs one round over `tiles` (ascending layout indices from
+  // data_tiles()) and reaps every read it submitted before returning.
+  // Returns how many tiles with base bytes the round neither took from the
+  // pool nor fetched.
   std::uint64_t run_round(const std::vector<std::uint64_t>& tiles);
+
+  // The tiles carrying data (base bytes or overlay edges), ascending: what
+  // every planner scans.
+  const std::vector<std::uint64_t>& data_tiles() const noexcept {
+    return data_tiles_;
+  }
+  // A tile's edges: stored plus overlay ones.
+  std::uint64_t tile_edges(std::uint64_t layout_idx) const {
+    return store_.tile_edge_count(layout_idx) + overlay_edges(layout_idx);
+  }
+  // The overlay's edges for a tile.
+  std::uint64_t overlay_edges(std::uint64_t layout_idx) const;
 
   // Copies the device counters' growth since construction and the segment
   // counters into stats, stamps `elapsed_seconds` and returns the result.
@@ -84,7 +97,6 @@ class RoundExecutor {
   std::uint64_t bytes_fetched() const noexcept { return bytes_fetched_; }
 
  private:
-  std::uint64_t overlay_count(std::uint64_t layout_idx) const;
   void process_one(std::uint64_t layout_idx, const std::uint8_t* data);
   void process_one_captured(std::uint64_t layout_idx,
                             const std::uint8_t* data) noexcept;
@@ -105,6 +117,7 @@ class RoundExecutor {
   // The overlay is frozen for the executor's lifetime (reader/writer
   // contract in tile/overlay.h), so which tiles carry data never changes.
   const tile::TileOverlay* overlay_ = nullptr;
+  std::vector<std::uint64_t> data_tiles_;
   // The device's counters when the executor was built; finish() reports the
   // growth since.
   const io::DeviceStats device_start_;

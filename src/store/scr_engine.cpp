@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "store/round_executor.h"
-#include "tile/overlay.h"
-#include "util/dcheck.h"
 #include "util/logging.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -20,18 +18,16 @@ struct ScrEngine::Runner {
         config(config),
         algo(algo),
         policy(CachingPolicy::make(config.policy)),
-        overlay(store.overlay()),
         exec(store, config, hooks()),
         pool(exec.pool()),
-        stats(exec.stats()) {}
+        stats(exec.stats()),
+        grid_sweeps(config.schedule == ScheduleMode::kGrid) {}
 
   // The pass's three hooks: a tile's scan cost is its edge count, a tile is
   // processed by the one algorithm, and CACHE is the policy's admit.
   RoundHooks hooks() {
     return RoundHooks{
-        [this](std::uint64_t idx) {
-          return store.tile_edge_count(idx) + overlay_count(idx);
-        },
+        [this](std::uint64_t idx) { return exec.tile_edges(idx); },
         [this](std::uint64_t, std::span<const tile::TileView> views) {
           for (const tile::TileView& v : views) algo.process_tile(v);
         },
@@ -40,106 +36,25 @@ struct ScrEngine::Runner {
         }};
   }
 
-  // ---- helpers -----------------------------------------------------------
+  // ---- one round: the plan, the pass, the bookkeeping --------------------
 
-  bool needed_now(std::uint64_t layout_idx) const {
-    const tile::TileCoord c = grid.coord_at(layout_idx);
-    return algo.tile_needed(c.i, c.j);
-  }
-
-  std::uint32_t priority_of(std::uint64_t layout_idx) const {
-    const tile::TileCoord c = grid.coord_at(layout_idx);
-    return algo.tile_priority(c.i, c.j);
-  }
-
-  std::uint64_t overlay_count(std::uint64_t layout_idx) const {
-    return overlay == nullptr ? 0 : overlay->tile_edges(layout_idx).size();
-  }
-
-  bool has_data(std::uint64_t layout_idx) const {
-    return store.tile_bytes(layout_idx) != 0 || overlay_count(layout_idx) != 0;
-  }
-
-  // ---- one round: the pass, then the bookkeeping around it ---------------
-
-  IterationStats counters() const {
-    return IterationStats{stats.tiles_from_disk, stats.tiles_from_cache,
-                          stats.tiles_skipped, stats.edges_processed,
-                          exec.bytes_fetched()};
-  }
-
-  // Books a finished round: its fetched bytes count as wasted when it made
-  // no updates (last_round_updates() holds the round's count until the next
-  // begin hook resets it), and it gets its per_iteration entry.
-  void record_round(const IterationStats& before, std::uint32_t bucket,
-                    double seconds) {
-    const std::uint64_t fetched = exec.bytes_fetched() - before.bytes_fetched;
-    if (algo.last_round_updates() == 0) stats.wasted_fetch_bytes += fetched;
-    stats.per_iteration.push_back(IterationStats{
-        stats.tiles_from_disk - before.tiles_from_disk,
-        stats.tiles_from_cache - before.tiles_from_cache,
-        stats.tiles_skipped - before.tiles_skipped,
-        stats.edges_processed - before.edges_processed, fetched, bucket,
-        seconds});
-  }
-
-  // ---- one iteration -----------------------------------------------------
-
-  // Grid mode's round: every tile carrying data that the algorithm needs
-  // this iteration, in layout order.
-  void needed_tiles(std::vector<std::uint64_t>& out) const {
-    out.clear();
-    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx)
-      if (has_data(idx) && needed_now(idx)) out.push_back(idx);
-  }
-
-  // The tile_needed contract (algorithm.h): the list the pass was planned
-  // from, before any tile was processed, is still the list after the scan.
-  bool needed_tiles_unchanged() const {
-    std::vector<std::uint64_t> again;
-    needed_tiles(again);
-    return again == round_tiles;
-  }
-
-  // Returns true if the algorithm wants another iteration.
-  bool run_iteration(std::uint32_t iter) {
-    const Timer iter_timer;
-    const IterationStats before = counters();
-    algo.begin_iteration(iter);
-
-    // Plan the whole iteration up front, so reads are in flight before the
-    // first tile is processed.
-    needed_tiles(round_tiles);
-    stats.tiles_skipped += exec.run_round(round_tiles);
-    GSTORE_DCHECK(needed_tiles_unchanged());
-
-    // Iteration-boundary cache analysis. Runs *before* end_iteration(): the
-    // tile_useful_next oracle refers to the upcoming iteration, and
-    // end_iteration typically promotes next-iteration metadata (e.g. BFS
-    // frontier flags) to current.
-    if (pool.budget() > 0) policy->analyze(pool, grid, algo);
-
-    const bool more = algo.end_iteration(iter);
-    record_round(before, IterationStats::kNoBucket, iter_timer.seconds());
-    return more;
-  }
-
-  // ---- priority mode (docs/SCHEDULING.md) --------------------------------
-
-  // Priority mode's plan, one scan like needed_tiles: every tile carrying
-  // data is asked for its priority, and the round is the lowest bucket's
-  // tiles in layout order. Priorities at or above kMaxBucket share one
-  // bucket. Returns the bucket, or kPriorityIdle when no tile has work.
+  // One scan over the tiles carrying data asks each its tile_priority. A
+  // grid sweep takes every tile with work and runs every bucket
+  // (kMaxBucket); a priority round takes the lowest bucket's tiles, where
+  // priorities at or above kMaxBucket share one bucket. Either way the
+  // round is in ascending layout order. Returns the round's bucket, or
+  // kPriorityIdle when a priority plan finds no tile with work.
   std::uint32_t plan_round() {
     round_tiles.clear();
-    std::uint32_t bucket = TileAlgorithm::kPriorityIdle;
-    for (std::uint64_t idx = 0; idx < grid.tile_count(); ++idx) {
-      if (!has_data(idx)) continue;
-      const std::uint32_t p = priority_of(idx);
+    std::uint32_t bucket = grid_sweeps ? TileAlgorithm::kMaxBucket
+                                       : TileAlgorithm::kPriorityIdle;
+    for (const std::uint64_t idx : exec.data_tiles()) {
+      const tile::TileCoord c = grid.coord_at(idx);
+      const std::uint32_t p = algo.tile_priority(c.i, c.j);
       if (p == TileAlgorithm::kPriorityIdle) continue;
       const std::uint32_t b = std::min(p, TileAlgorithm::kMaxBucket);
       if (b > bucket) continue;
-      if (b < bucket) {
+      if (b < bucket && !grid_sweeps) {
         bucket = b;
         round_tiles.clear();
       }
@@ -148,37 +63,61 @@ struct ScrEngine::Runner {
     return bucket;
   }
 
-  // One priority round over the planned tiles — cached ones processed in
-  // place (the REWIND idea applied per round), the rest streamed. Returns
-  // end_round()'s verdict.
+  IterationStats counters() const {
+    return IterationStats{stats.tiles_from_disk, stats.tiles_from_cache,
+                          stats.tiles_skipped, stats.edges_processed,
+                          exec.bytes_fetched()};
+  }
+
+  // Runs the planned round — cached tiles processed in place (REWIND), the
+  // rest streamed — between the begin and the end hook, and books it.
+  // Returns the end hook's verdict.
   bool run_round(std::uint32_t round, std::uint32_t bucket) {
     const Timer round_timer;
     const IterationStats before = counters();
-    algo.begin_round(round, bucket);
-    stats.max_bucket = std::max(stats.max_bucket, bucket);
-    // The returned skip count is dropped: a round's candidates are its
-    // bucket's tiles (see IterationStats).
-    exec.run_round(round_tiles);
+    algo.begin_iteration(round, bucket);
+    const std::uint64_t skipped = exec.run_round(round_tiles);
 
-    // Round-boundary cache analysis, before end_round for the same reason
-    // the grid path runs it before end_iteration (tile_useful_next refers
-    // to upcoming work; end_round promotes next-state metadata).
+    // Round-boundary cache analysis. Runs *before* the end hook: the
+    // tile_useful_next oracle refers to the upcoming round, and the end
+    // hook typically promotes next-round metadata (e.g. BFS frontier flags)
+    // to current.
     if (pool.budget() > 0) policy->analyze(pool, grid, algo);
+    const bool more = algo.end_iteration(round);
 
-    const bool more = algo.end_round(round, bucket);
-    record_round(before, bucket, round_timer.seconds());
+    // A grid sweep's candidates are every tile with base bytes, so it books
+    // the ones it skipped; a priority round's are its bucket's tiles, so
+    // tiles outside it were not skipped by it (see IterationStats).
+    if (grid_sweeps) {
+      stats.tiles_skipped += skipped;
+      bucket = IterationStats::kNoBucket;
+    } else {
+      stats.max_bucket = std::max(stats.max_bucket, bucket);
+    }
+    // Fetched bytes count as wasted when the round made no updates
+    // (last_round_updates() holds the round's count until the next begin
+    // hook resets it).
+    const std::uint64_t fetched = exec.bytes_fetched() - before.bytes_fetched;
+    if (algo.last_round_updates() == 0) stats.wasted_fetch_bytes += fetched;
+    stats.per_iteration.push_back(IterationStats{
+        stats.tiles_from_disk - before.tiles_from_disk,
+        stats.tiles_from_cache - before.tiles_from_cache,
+        stats.tiles_skipped - before.tiles_skipped,
+        stats.edges_processed - before.edges_processed, fetched, bucket,
+        round_timer.seconds()});
     return more;
   }
 
-  // Drives priority rounds to completion, planning each one after the
-  // previous round's end hook (the first after init, or after reactivate
-  // when `cold` is false).
-  EngineStats run_priority(bool cold) {
+  // Drives rounds to completion, planning each one after the previous
+  // round's end hook (the first after init, or after reactivate when `cold`
+  // is false). A grid run stops only when the end hook says so, and runs
+  // its round even when the plan is empty; a priority run also stops when
+  // no tile has work.
+  EngineStats run(bool cold) {
     Timer total;
     if (cold) algo.init(store);
-    bool more = true;
     std::uint32_t round = 0;
-    for (; more; ++round) {
+    for (bool more = true; more; ++round) {
       const std::uint32_t bucket = plan_round();
       if (bucket == TileAlgorithm::kPriorityIdle) break;
       GS_CHECK_MSG(round < config.max_iterations,
@@ -189,33 +128,16 @@ struct ScrEngine::Runner {
     return exec.finish(total.seconds());
   }
 
-  EngineStats run() {
-    if (config.schedule == ScheduleMode::kPriority)
-      return run_priority(/*cold=*/true);
-    Timer total;
-    algo.init(store);
-    bool more = true;
-    std::uint32_t iter = 0;
-    while (more && iter < config.max_iterations) {
-      more = run_iteration(iter);
-      ++iter;
-    }
-    GS_CHECK_MSG(!more, "algorithm did not converge within max_iterations");
-    stats.iterations = iter;
-    return exec.finish(total.seconds());
-  }
-
   tile::TileStore& store;
   const tile::Grid& grid;
   const EngineConfig& config;
   TileAlgorithm& algo;
   std::unique_ptr<CachingPolicy> policy;
-  // The overlay is frozen for the duration of a run (reader/writer contract
-  // in tile/overlay.h), so which tiles carry data never changes mid-run.
-  const tile::TileOverlay* overlay = nullptr;
   RoundExecutor exec;
   CachePool& pool;
   EngineStats& stats;
+  // Rounds run every bucket (ScheduleMode::kGrid) or the lowest one.
+  bool grid_sweeps;
   // The round being run, in ascending layout order.
   std::vector<std::uint64_t> round_tiles;
 };
@@ -225,7 +147,7 @@ ScrEngine::ScrEngine(tile::TileStore& store, EngineConfig config)
 
 EngineStats ScrEngine::run(TileAlgorithm& algo) {
   Runner runner(store_, config_, algo);
-  EngineStats s = runner.run();
+  EngineStats s = runner.run(/*cold=*/true);
   GS_LOG(Info) << algo.name() << ": " << s.iterations << " iterations, "
                << s.edges_processed << " edges processed, "
                << s.bytes_read / (1 << 20) << " MiB read, "
@@ -241,9 +163,11 @@ EngineStats ScrEngine::resume(TileAlgorithm& algo,
     // run is the correct — and only — answer.
     GS_LOG(Info) << algo.name()
                  << ": reactivate declined, falling back to a cold run";
-    return runner.run();
+    return runner.run(/*cold=*/true);
   }
-  EngineStats s = runner.run_priority(/*cold=*/false);
+  // A resume drives priority rounds whatever the configured schedule.
+  runner.grid_sweeps = false;
+  EngineStats s = runner.run(/*cold=*/false);
   GS_LOG(Info) << algo.name() << ": incremental resume over "
                << delta_tiles.size() << " delta tiles, " << s.iterations
                << " rounds, " << s.bytes_read / (1 << 20) << " MiB read";

@@ -1,27 +1,25 @@
 // The SCR (slide–cache–rewind) engine (paper §VI, Figure 8).
 //
-// Each iteration is planned right after begin_iteration() — the needed
-// tiles, in layout order — and then runs one slide–cache–rewind pass
-// (store::RoundExecutor, round_executor.h, the pass the serve gang runs
-// too):
+// Every round is planned before its begin hook (algorithm.h): one scan over
+// the tiles carrying data asks the algorithm's tile_priority. A grid
+// iteration takes every tile with work; ScheduleMode::kPriority replaces it
+// with bucketed rounds (docs/SCHEDULING.md) that take the lowest bucket's
+// tiles. Either way the round's tiles, in layout order, run through one
+// slide–cache–rewind pass (store::RoundExecutor, round_executor.h, the pass
+// the serve gang runs too):
 //   REWIND — process the tiles already sitting in the cache pool (saved from
-//            the previous iteration). Both segments' first SLIDE reads are
+//            the previous round). Both segments' first SLIDE reads are
 //            submitted before it starts, so the device streams meanwhile.
-//   SLIDE  — stream the remaining needed tiles from disk in physical-group
-//            layout order, double-buffered: one segment is loading via the
-//            async engine while the other is being processed.
+//   SLIDE  — stream the remaining tiles from disk in physical-group layout
+//            order, double-buffered: one segment is loading via the async
+//            engine while the other is being processed.
 //   CACHE  — each processed segment offers its tiles to the cache pool under
 //            the configured policy, one CachingPolicy::admit call per
 //            segment; proactive analysis evicts tiles the algorithm's
-//            metadata rules out for the next iteration.
+//            metadata rules out for the next round.
 // An exception from the algorithm or the decoder, or a read failing past
 // the retry budget, leaves the pass only after every in-flight read has
 // been drained; run() rethrows it to the caller.
-//
-// ScheduleMode::kPriority replaces the grid-order iteration with bucketed
-// rounds (docs/SCHEDULING.md): before each round one scan over the tiles
-// carrying data asks the algorithm's tile_priority, and the round runs the
-// same pass over the lowest bucket's tiles, in layout order.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +34,13 @@
 namespace gstore::store {
 
 // How the engine orders tile work within a run.
-//   kGrid     — the paper's scheme: every iteration scans needed tiles in
-//               physical layout order.
+//   kGrid     — the paper's scheme: every iteration runs every tile with
+//               work, in physical layout order. The run ends when the
+//               algorithm's end hook says so.
 //   kPriority — delta-stepping rounds: tiles carry algorithm-assigned
 //               priorities and each round runs the minimum bucket's tiles.
-//               An idle tile is in no bucket, so it is never fetched.
+//               An idle tile is in no bucket, so it is never fetched. The
+//               run also ends when no tile has work.
 enum class ScheduleMode { kGrid, kPriority };
 
 struct EngineConfig {

@@ -351,9 +351,9 @@ tile::TileStore small_tile_store(const io::TempDir& dir, const EdgeList& el) {
   return gstore::testing::make_store(dir, el, o);
 }
 
-// A grid-mode run relaxes into the pending-row marks that priority rounds
-// read, and never drains them. Priority rounds ask every tile's priority,
-// so after reactivate() only the delta tile's two rows may hold work.
+// Priority rounds ask every tile's priority, so after reactivate() only the
+// delta tile's two rows may hold work, whatever the previous run left
+// pending.
 TEST(TileSssp, ReactivateArmsOnlyTheDeltaTilesRows) {
   io::TempDir dir;
   auto store =
@@ -586,6 +586,35 @@ TEST(TileKCore, RejectsDirectedStore) {
   TileKCore kcore(2);
   store::ScrEngine engine(store);
   EXPECT_THROW(engine.run(kcore), Error);
+}
+
+// The path 0-4-8 over 12 vertices in 4-vertex tiles, k = 2. The first
+// round peels 0, 8 and every isolated vertex, after which no tile carrying
+// data has both rows alive: vertex 4 has no live neighbour left, but a
+// priority run stops when no tile has work, so no later round zeroes its
+// degree. The end hook peels it instead, which also spares a grid run the
+// empty round that would.
+TEST(TileKCore, PeelsTheLastSurvivorsUnderEitherSchedule) {
+  const EdgeList el({{0, 4}, {4, 8}}, 12, GraphKind::kUndirected);
+  io::TempDir dir;
+  tile::ConvertOptions o;
+  o.tile_bits = 2;
+  auto store = gstore::testing::make_store(dir, el, o);
+  const auto want = ref_kcore(el, 2);
+  for (const store::ScheduleMode mode :
+       {store::ScheduleMode::kGrid, store::ScheduleMode::kPriority}) {
+    SCOPED_TRACE(mode == store::ScheduleMode::kGrid ? "grid" : "priority");
+    store::EngineConfig cfg;
+    cfg.schedule = mode;
+    TileKCore kcore(2);
+    const store::EngineStats stats = store::ScrEngine(store, cfg).run(kcore);
+    EXPECT_EQ(kcore.alive(), want);
+    EXPECT_EQ(kcore.core_size(), 0u);
+    // Grid: the peel, then one empty sweep that peels nothing. Priority:
+    // the peel, then no tile has work.
+    EXPECT_EQ(stats.iterations,
+              mode == store::ScheduleMode::kGrid ? 2u : 1u);
+  }
 }
 
 TEST(TileKCore, SkipsDeadTiles) {

@@ -25,8 +25,10 @@ namespace gstore::store {
 namespace {
 
 using graph::GraphKind;
+using gstore::testing::data_tiles;
 using gstore::testing::half_cached;
 using gstore::testing::OverlapProbeAlgo;
+using gstore::testing::RowPriorityAlgo;
 
 // Records which tiles the engine delivers each iteration.
 class RecordingAlgo final : public TileAlgorithm {
@@ -38,7 +40,7 @@ class RecordingAlgo final : public TileAlgorithm {
     grid_ = &store.grid();
     per_iter_.clear();
   }
-  void begin_iteration(std::uint32_t) override {
+  void begin_iteration(std::uint32_t, std::uint32_t) override {
     per_iter_.emplace_back();
   }
   void process_tile(const tile::TileView& view) override {
@@ -245,7 +247,7 @@ TEST(ScrEngine, HonorsMaxIterationsGuard) {
    public:
     std::string name() const override { return "never"; }
     void init(const tile::TileStore&) override {}
-    void begin_iteration(std::uint32_t) override {}
+    void begin_iteration(std::uint32_t, std::uint32_t) override {}
     void process_tile(const tile::TileView&) override {}
     bool end_iteration(std::uint32_t) override { return true; }
   } algo;
@@ -380,20 +382,13 @@ TEST(ScrEngine, CacheWarmupVisibleInPerIterationStats) {
 
 // ---- CACHE admission cost and REWIND/SLIDE overlap -------------------------
 
-std::uint64_t nonempty_tile_count(const tile::TileStore& store) {
-  std::uint64_t n = 0;
-  for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
-    if (store.tile_bytes(k) != 0) ++n;
-  return n;
-}
-
 // Counts caching-oracle calls per iteration. Every tile stays useful, so a
 // pool that fills stays full and every later tile is turned away.
 class OracleCountingAlgo final : public TileAlgorithm {
  public:
   std::string name() const override { return "oracle-counter"; }
   void init(const tile::TileStore&) override {}
-  void begin_iteration(std::uint32_t) override { calls_ = 0; }
+  void begin_iteration(std::uint32_t, std::uint32_t) override { calls_ = 0; }
   void process_tile(const tile::TileView&) override {}
   bool end_iteration(std::uint32_t iter) override {
     per_iter.push_back(calls_.load());
@@ -421,7 +416,7 @@ TEST(ScrEngine, ProactiveAdmissionIsLinearInTilesAndPool) {
   OracleCountingAlgo algo;
   const auto stats = ScrEngine(store, c).run(algo);
   ASSERT_EQ(algo.per_iter.size(), 3u);
-  const std::uint64_t tiles = nonempty_tile_count(store);
+  const std::uint64_t tiles = data_tiles(store).size();
   const std::uint64_t pooled = stats.per_iteration[1].tiles_from_cache;
   ASSERT_GT(pooled, 0u);
   ASSERT_LT(pooled, tiles);  // the pool filled
@@ -457,56 +452,6 @@ TEST(ScrEngine, RewindThrowWithReadsInFlightUnwindsCleanly) {
 namespace gstore::store {
 namespace {
 
-// Gives each tile `offset` + (its row / rows_per_bucket) as priority until a
-// round has run that row's tiles, and records every round's bucket and its
-// tiles in the order they were processed.
-class RowPriorityAlgo final : public TileAlgorithm {
- public:
-  struct Round {
-    std::uint32_t bucket = 0;
-    std::vector<std::uint64_t> tiles;
-  };
-
-  explicit RowPriorityAlgo(std::uint32_t offset = 0,
-                           std::uint32_t rows_per_bucket = 1)
-      : offset_(offset), rows_per_bucket_(rows_per_bucket) {}
-
-  std::string name() const override { return "row-priority"; }
-  void init(const tile::TileStore& store) override {
-    grid_ = &store.grid();
-    drained_.assign(grid_->p(), 0);
-    rounds_.clear();
-  }
-  void begin_round(std::uint32_t, std::uint32_t bucket) override {
-    rounds_.push_back(Round{bucket, {}});
-  }
-  void process_tile(const tile::TileView& view) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    rounds_.back().tiles.push_back(
-        grid_->layout_index(view.coord.i, view.coord.j));
-  }
-  // Rows whose tiles ran go idle; the run ends when no row has work left.
-  bool end_round(std::uint32_t, std::uint32_t) override {
-    for (const std::uint64_t idx : rounds_.back().tiles)
-      drained_[grid_->coord_at(idx).i] = 1;
-    return true;
-  }
-  void begin_iteration(std::uint32_t) override {}
-  bool end_iteration(std::uint32_t) override { return true; }
-  std::uint32_t tile_priority(std::uint32_t i, std::uint32_t) const override {
-    return drained_[i] ? kPriorityIdle : offset_ + i / rows_per_bucket_;
-  }
-
-  std::vector<Round> rounds_;
-
- private:
-  const std::uint32_t offset_;
-  const std::uint32_t rows_per_bucket_;
-  const tile::Grid* grid_ = nullptr;
-  std::vector<std::uint8_t> drained_;
-  std::mutex mu_;
-};
-
 // The tile rows that hold at least one tile with base bytes, ascending.
 std::vector<std::uint32_t> rows_with_data(const tile::TileStore& store) {
   std::set<std::uint32_t> rows;
@@ -539,7 +484,7 @@ TEST(ScrEngine, PriorityRoundsDrainAscendingBuckets) {
       EXPECT_EQ(store.grid().coord_at(idx).i, rows[k]);
     seen += r.tiles.size();
   }
-  EXPECT_EQ(seen, nonempty_tile_count(store));  // every tile exactly once
+  EXPECT_EQ(seen, data_tiles(store).size());  // every tile exactly once
   EXPECT_EQ(stats.iterations, rows.size());
   EXPECT_EQ(stats.max_bucket, rows.back());
 }
@@ -585,7 +530,7 @@ TEST(ScrEngine, PriorityRoundRunsItsTilesInLayoutOrder) {
         << "round for bucket " << r.bucket;
     seen += r.tiles.size();
   }
-  EXPECT_EQ(seen, nonempty_tile_count(store));
+  EXPECT_EQ(seen, data_tiles(store).size());
 }
 
 TEST(ScrEngine, PrioritiesPastMaxBucketShareOneRound) {
@@ -618,7 +563,7 @@ TEST(ScrEngine, PrioritiesPastMaxBucketShareOneRound) {
 TEST(ScrEngine, GridIterationAccountsEveryTile) {
   io::TempDir dir;
   auto store = kron_store(dir, 9, 6);
-  const std::uint64_t tiles = nonempty_tile_count(store);
+  const std::uint64_t tiles = data_tiles(store).size();
   for (const CachePolicyKind policy :
        {CachePolicyKind::kProactive, CachePolicyKind::kLru}) {
     EngineConfig cfg = half_cached(store);
@@ -691,7 +636,7 @@ TEST(ScrEngine, PriorityModeHonorsMaxIterations) {
    public:
     std::string name() const override { return "never"; }
     void init(const tile::TileStore&) override {}
-    void begin_iteration(std::uint32_t) override {}
+    void begin_iteration(std::uint32_t, std::uint32_t) override {}
     void process_tile(const tile::TileView&) override {}
     bool end_iteration(std::uint32_t) override { return true; }
   } algo;
@@ -720,6 +665,62 @@ TEST(ScrEngine, PriorityModeCachesAcrossRounds) {
             store.bytes_of_range(0, store.grid().tile_count()));
 }
 
+// The round protocol (store/algorithm.h): before every begin hook one scan
+// asks tile_priority of every tile carrying data, once each, in layout
+// order. A grid sweep runs every tile with work and tells its begin hook
+// kMaxBucket, and runs even when its plan is empty, until the end hook
+// stops it; a priority round runs the lowest bucket's tiles and tells its
+// begin hook that bucket, and the run stops when no tile has work.
+TEST(ScrEngine, EveryRoundAsksTilePriorityBeforeItsBeginHook) {
+  io::TempDir dir;
+  auto store = kron_store(dir);
+  const std::vector<std::uint64_t> tiles = data_tiles(store);
+  constexpr std::uint32_t kRowsPerBucket = 4;
+  auto bucket_of = [&](std::uint64_t idx) {
+    return store.grid().coord_at(idx).i / kRowsPerBucket;
+  };
+  std::set<std::uint32_t> buckets;
+  for (const std::uint64_t idx : tiles) buckets.insert(bucket_of(idx));
+  ASSERT_GT(buckets.size(), 1u);
+  auto sorted = [](std::vector<std::uint64_t> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  {
+    SCOPED_TRACE("grid");
+    RowPriorityAlgo algo(/*offset=*/0, kRowsPerBucket);
+    const auto stats = ScrEngine(store, tiny_memory()).run(algo);
+    ASSERT_EQ(algo.rounds_.size(), 2u);
+    EXPECT_EQ(stats.iterations, 2u);
+    for (const auto& r : algo.rounds_) {
+      EXPECT_EQ(r.asked, tiles);
+      EXPECT_EQ(r.bucket, TileAlgorithm::kMaxBucket);
+    }
+    EXPECT_EQ(sorted(algo.rounds_[0].tiles), tiles);
+    EXPECT_TRUE(algo.rounds_[1].tiles.empty());
+    for (const IterationStats& it : stats.per_iteration)
+      EXPECT_EQ(it.bucket, IterationStats::kNoBucket);
+  }
+  {
+    SCOPED_TRACE("priority");
+    RowPriorityAlgo algo(/*offset=*/0, kRowsPerBucket);
+    const auto stats = ScrEngine(store, priority_config()).run(algo);
+    ASSERT_EQ(algo.rounds_.size(), buckets.size());
+    EXPECT_EQ(stats.iterations, buckets.size());
+    auto b = buckets.begin();
+    for (std::size_t k = 0; k < algo.rounds_.size(); ++k, ++b) {
+      const RowPriorityAlgo::Round& r = algo.rounds_[k];
+      EXPECT_EQ(r.asked, tiles);
+      EXPECT_EQ(r.bucket, *b);
+      EXPECT_EQ(stats.per_iteration[k].bucket, *b);
+      std::vector<std::uint64_t> want;
+      for (const std::uint64_t idx : tiles)
+        if (bucket_of(idx) == *b) want.push_back(idx);
+      EXPECT_EQ(sorted(r.tiles), want);
+    }
+  }
+}
+
 // ---- WCC's exact work ------------------------------------------------------
 
 // Union-find WCC reads the store once, whatever the schedule: one sweep, no
@@ -737,7 +738,7 @@ TEST(WccExactWork, GridAndPriorityReadEveryTileOnce) {
   std::uint64_t tile_bytes = 0;
   for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
     tile_bytes += store.tile_bytes(k);
-  ASSERT_GT(nonempty_tile_count(store), 100u);
+  ASSERT_GT(data_tiles(store).size(), 100u);
 
   const auto extra =
       graph::uniform_random(el.vertex_count(), 200, GraphKind::kUndirected, 5);
@@ -847,7 +848,7 @@ TEST(PageRankExactWork, WholePoolReadsOnceAndHalfPoolRepeats) {
   std::uint64_t tile_bytes = 0;
   for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
     tile_bytes += store.tile_bytes(k);
-  const std::uint64_t tiles = nonempty_tile_count(store);
+  const std::uint64_t tiles = data_tiles(store).size();
   constexpr std::uint32_t kIterations = 5;
   const algo::PageRankOptions popt{0.85, kIterations, 0.0};
   for (const ScheduleMode mode :

@@ -260,7 +260,7 @@ class StubAlgo final : public TileAlgorithm {
  public:
   std::string name() const override { return "stub"; }
   void init(const tile::TileStore&) override {}
-  void begin_iteration(std::uint32_t) override {}
+  void begin_iteration(std::uint32_t, std::uint32_t) override {}
   void process_tile(const tile::TileView&) override {}
   bool end_iteration(std::uint32_t) override { return false; }
   bool tile_useful_next(std::uint32_t i, std::uint32_t) const override {

@@ -7,9 +7,11 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/edge_list.h"
@@ -67,7 +69,9 @@ class OverlapProbeAlgo final : public store::TileAlgorithm {
       : store_(store), throw_(throw_on_probe) {}
   std::string name() const override { return "overlap-probe"; }
   void init(const tile::TileStore&) override {}
-  void begin_iteration(std::uint32_t iter) override { iter_ = iter; }
+  void begin_iteration(std::uint32_t iter, std::uint32_t) override {
+    iter_ = iter;
+  }
   void process_tile(const tile::TileView&) override {
     if (iter_ == 0 || probed_.exchange(true)) return;
     const auto deadline =
@@ -94,6 +98,72 @@ class OverlapProbeAlgo final : public store::TileAlgorithm {
   std::atomic<bool> probed_{false};
   std::atomic<bool> overlapped_{false};
 };
+
+// Gives each tile `offset` + (its row / rows_per_bucket) as priority until a
+// round has processed that row's tiles, then kPriorityIdle, and records the
+// round protocol (store/algorithm.h): the tiles asked their tile_priority
+// before each begin hook, the bucket that hook was told, and the tiles the
+// round processed. The run ends after a round that processed nothing.
+// tile_needed keeps its default (every tile), so a planner that asked it
+// would run drained rows again.
+class RowPriorityAlgo final : public store::TileAlgorithm {
+ public:
+  struct Round {
+    std::vector<std::uint64_t> asked;  // in the order they were asked
+    std::uint32_t bucket = 0;
+    std::vector<std::uint64_t> tiles;  // in the order they were processed
+  };
+
+  explicit RowPriorityAlgo(std::uint32_t offset = 0,
+                           std::uint32_t rows_per_bucket = 1)
+      : offset_(offset), rows_per_bucket_(rows_per_bucket) {}
+
+  std::string name() const override { return "row-priority"; }
+  void init(const tile::TileStore& store) override {
+    grid_ = &store.grid();
+    drained_.assign(grid_->p(), 0);
+    asked_.clear();
+    rounds_.clear();
+  }
+  std::uint32_t tile_priority(std::uint32_t i, std::uint32_t j) const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    asked_.push_back(grid_->layout_index(i, j));
+    return drained_[i] ? kPriorityIdle : offset_ + i / rows_per_bucket_;
+  }
+  void begin_iteration(std::uint32_t, std::uint32_t bucket) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    rounds_.push_back(Round{std::exchange(asked_, {}), bucket, {}});
+  }
+  void process_tile(const tile::TileView& view) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    rounds_.back().tiles.push_back(
+        grid_->layout_index(view.coord.i, view.coord.j));
+  }
+  bool end_iteration(std::uint32_t) override {
+    for (const std::uint64_t idx : rounds_.back().tiles)
+      drained_[grid_->coord_at(idx).i] = 1;
+    return !rounds_.back().tiles.empty();
+  }
+
+  std::vector<Round> rounds_;
+
+ private:
+  const std::uint32_t offset_;
+  const std::uint32_t rows_per_bucket_;
+  const tile::Grid* grid_ = nullptr;
+  std::vector<std::uint8_t> drained_;
+  mutable std::vector<std::uint64_t> asked_;
+  mutable std::mutex mu_;
+};
+
+// The tiles with base bytes, ascending: what a planner scans when no
+// overlay is attached.
+inline std::vector<std::uint64_t> data_tiles(const tile::TileStore& store) {
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t k = 0; k < store.grid().tile_count(); ++k)
+    if (store.tile_bytes(k) != 0) out.push_back(k);
+  return out;
+}
 
 // Half the graph fits the pool, so iteration 1 has cached tiles to REWIND
 // and others to SLIDE. Config is store::EngineConfig or serve's
